@@ -28,7 +28,7 @@ print(f"ponderomotive energy U_p = {up:.4f} a.u.; "
 
 plan = PropagatorPlan(grid, 0.05, potential_atom(grid.x, atom), laser,
                       mask=absorber_mask(grid))
-record = propagate(psi0.amplitudes, plan, 0.0, laser.duration,
+record = propagate(psi0, plan, 0.0, laser.duration,
                    gradient_atom(grid.x, atom), record_stride=1)
 print(f"propagated {record.times.size} samples, "
       f"final surviving norm {record.norm[-1]:.6f}")

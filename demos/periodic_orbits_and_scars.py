@@ -40,7 +40,8 @@ spec = EnsembleSpec(n_c=N_CONFIGS, master_seed=3,
                     x_min=-400.0, x_max=400.0, n_grid=2560, dt=0.05,
                     record_stride=8)
 record = run_ensemble(spec, workers=2)
-pmap = probability_density_map(record)
+pmap = probability_density_map(record.snapshot_times, record.snapshots,
+                               spec.grid())
 
 try:
     import matplotlib.pyplot as plt

@@ -23,7 +23,9 @@ spec = EnsembleSpec(n_c=N_CONFIGS, master_seed=4,
 
 print(f"propagating {N_CONFIGS} configurations ...")
 record = run_ensemble(spec, workers=2)
-times, p_total, p_masked = purity_series(record, MaskSpec())
+times, p_total, p_masked = purity_series(record.snapshot_times,
+                                         record.snapshots, spec.grid(),
+                                         MaskSpec())
 
 T = laser.period
 for k in range(0, times.size, 8):

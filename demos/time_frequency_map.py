@@ -21,7 +21,7 @@ T = laser.period
 psi0, e0 = ground_state(grid, lambda x: potential_atom(x, atom))
 plan = PropagatorPlan(grid, 0.05, potential_atom(grid.x, atom), laser,
                       mask=absorber_mask(grid))
-record = propagate(psi0.amplitudes, plan, 0.0, laser.duration,
+record = propagate(psi0, plan, 0.0, laser.duration,
                    gradient_atom(grid.x, atom), record_stride=1)
 print("propagation done; computing the map ...")
 

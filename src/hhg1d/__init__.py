@@ -21,10 +21,9 @@ exposes each pipeline stage as a subcommand.
 __version__ = "0.1.0"
 
 from .ensemble import (EnsembleRecord, EnsembleSpec, MaskSpec,
-                       apply_photoelectron_mask, density_matrix_map,
-                       ensemble_expectation, merge_records,
-                       probability_density_map, purity, purity_series,
-                       run_ensemble)
+                       density_matrix_map, ensemble_expectation,
+                       merge_records, probability_density_map, purity,
+                       purity_series, run_ensemble)
 from .model import (AtomParams, EnvironmentConfig, LaserParams,
                     PerturberParams, envelope, field_at, gradient_atom,
                     gradient_env, ponderomotive_energy, potential_atom,
@@ -40,18 +39,16 @@ from .semiclassics import (PeriodicOrbit, SfaEvent, backscatter_trajectory,
 from .spectra import (GaborMap, PurityFit, Spectrum, find_cutoff,
                       fit_purity_decay, gabor, harmonic_peaks, hhg_spectrum,
                       parity_contrast, plateau_statistics)
-from .tdse import (Grid, PropagationRecord, PropagatorPlan, Wavefunction,
-                   absorber_mask, dipole_accel_instant, fd_eigenstates,
-                   ground_state, propagate, step)
+from .tdse import (Grid, PropagationRecord, PropagatorPlan, absorber_mask,
+                   fd_eigenstates, ground_state, propagate, step)
 
 __all__ = [
     "AtomParams", "EnsembleRecord", "EnsembleSpec", "EnvironmentConfig",
     "GaborMap", "Grid", "LaserParams", "MaskSpec", "PeriodicOrbit",
     "PerturberParams", "PropagationRecord", "PropagatorPlan", "PurityFit",
-    "SeededRng", "SfaEvent", "Spectrum", "StructureParams", "Wavefunction",
-    "absorber_mask", "apply_photoelectron_mask", "backscatter_trajectory",
-    "classical_flow", "default_perturber_count", "density_matrix_map",
-    "dipole_accel_instant", "ensemble_expectation", "envelope",
+    "SeededRng", "SfaEvent", "Spectrum", "StructureParams", "absorber_mask",
+    "backscatter_trajectory", "classical_flow", "default_perturber_count",
+    "density_matrix_map", "ensemble_expectation", "envelope",
     "fd_eigenstates", "field_at", "find_cutoff", "find_periodic_orbit",
     "find_returns", "fit_purity_decay", "gabor", "gradient_atom",
     "gradient_env", "ground_state", "harmonic_peaks", "hhg_spectrum",

@@ -30,9 +30,9 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, RunConfig, load_config, parse_config,
                      render_config)
-from .ensemble import (EnsembleRecord, PropagationFailure,
-                       density_matrix_map, ensemble_expectation,
-                       probability_density_map, purity_series, run_ensemble)
+from .ensemble import (PropagationFailure, density_matrix_map,
+                       ensemble_expectation, probability_density_map,
+                       purity_series, run_ensemble)
 from .model import potential_atom
 from .sampler import pair_correlation, sample_ensemble, save_configurations, \
     load_configurations
@@ -63,14 +63,12 @@ def _resolve_config(args) -> RunConfig:
 def _new_manifest(cfg: RunConfig) -> Manifest:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(out, render_config(cfg), cfg.master_seed)
-    return manifest
+    return Manifest(out, render_config(cfg), cfg.master_seed)
 
 
 def _load_records_manifest(records: str) -> Manifest:
     manifest = Manifest.load(records)
-    stale = manifest.verify_outputs()
-    for name in stale:
+    for name in manifest.verify_outputs():
         print(f"warning: checksum mismatch for {name} (records were edited?)",
               file=sys.stderr)
     return manifest
@@ -83,12 +81,12 @@ def cmd_ground_state(args) -> int:
     psi, energy = ground_state(grid, lambda x: potential_atom(x, cfg.atom))
     out = Path(cfg.out_dir)
     write_csv(out / "ground_state.csv",
-              {"x": grid.x, "density": np.abs(psi.amplitudes) ** 2,
+              {"x": grid.x, "density": np.abs(psi) ** 2,
                "potential": potential_atom(grid.x, cfg.atom)},
               "ground-state", manifest.checksum(),
               extra_comments=(f"energy_au: {energy:.12f}",))
     write_wavefunctions(out / "ground_state.bin", cfg.x_min, cfg.x_max,
-                        [0.0], [psi.amplitudes])
+                        [0.0], [psi])
     manifest.record_output(out / "ground_state.csv")
     manifest.record_output(out / "ground_state.bin")
     manifest.save()
@@ -143,134 +141,130 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _records_record(records: str):
-    """Reload the pieces of a stored run that analyses need."""
-    manifest = _load_records_manifest(records)
-    cfg = parse_config(manifest.data["config"])
-    rdir = Path(records)
-    t_axis, _, accel, _, _ = read_map(rdir / "accel_configs.bin")
-    return manifest, cfg, rdir, t_axis, accel
+class _Analysis:
+    """A stored run read by an analysis command, and where its outputs go.
+
+    Outputs are written to --out, or beside the records; only in the latter
+    case are they entered in the run's manifest.
+    """
+
+    def __init__(self, args):
+        self.manifest = _load_records_manifest(args.records)
+        self.cfg = parse_config(self.manifest.data["config"])
+        self.grid = Grid(self.cfg.x_min, self.cfg.x_max, self.cfg.n_grid)
+        self.rdir = Path(args.records)
+        self.out = Path(args.out) if args.out else self.rdir
+        self.out.mkdir(parents=True, exist_ok=True)
+
+    def accel(self, member: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """Time axis and the ensemble-mean or one member's acceleration."""
+        t_axis, _, accel, _, _ = read_map(self.rdir / "accel_configs.bin")
+        if member is None:
+            return t_axis, accel.mean(axis=1)
+        if not 0 <= member < accel.shape[1]:
+            raise ConfigError(f"--member {member} is not a configuration "
+                              f"index of these records (0..{accel.shape[1] - 1})")
+        return t_axis, accel[:, member]
+
+    def snapshots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Snapshot times and the (n_probe, n_c, n) stored states."""
+        snap_dir = self.rdir / "snapshots"
+        files = sorted(snap_dir.glob("config_*.bin"))
+        if not files:
+            raise MissingArtifactError(f"no snapshots under {snap_dir}")
+        stored = [read_wavefunctions(f) for f in files]
+        return stored[0][2], np.stack([s[3] for s in stored], axis=1)
+
+    def save(self, *paths: Path) -> None:
+        if self.out == self.rdir:
+            for path in paths:
+                self.manifest.record_output(path)
+            self.manifest.save()
 
 
 def cmd_spectrum(args) -> int:
-    manifest, cfg, rdir, t_axis, accel = _records_record(args.records)
-    series = accel[:, args.member] if args.member is not None \
-        else accel.mean(axis=1)
-    spec = hhg_spectrum(t_axis, series, cfg.laser, hann=args.hann)
-    out = Path(args.out) if args.out else rdir
-    out.mkdir(parents=True, exist_ok=True)
+    run = _Analysis(args)
+    t_axis, series = run.accel(args.member)
+    spec = hhg_spectrum(t_axis, series, run.cfg.laser, hann=args.hann)
     tag = f"member{args.member}" if args.member is not None else "mean"
-    path = out / f"spectrum_{tag}.csv"
+    path = run.out / f"spectrum_{tag}.csv"
     write_csv(path, {"order": spec.orders, "magnitude": spec.magnitude},
-              "spectrum", manifest.checksum(),
+              "spectrum", run.manifest.checksum(),
               extra_comments=(f"source: {tag}", f"hann: {args.hann}"))
-    if out == rdir:
-        manifest.record_output(path)
-        manifest.save()
+    run.save(path)
     print(f"spectrum -> {path}")
     return 0
 
 
 def cmd_gabor(args) -> int:
-    manifest, cfg, rdir, t_axis, accel = _records_record(args.records)
-    series = accel[:, args.member] if args.member is not None \
-        else accel.mean(axis=1)
-    t_w = cfg.gabor_window_cycles * cfg.laser.period
+    run = _Analysis(args)
+    laser = run.cfg.laser
+    t_axis, series = run.accel(args.member)
+    t_w = run.cfg.gabor_window_cycles * laser.period
     omegas = np.arange(0.0, args.max_order + 1e-9, args.d_order) \
-        * cfg.laser.omega_L
-    gmap = gabor(t_axis, series, t_w, omegas, laser=cfg.laser)
-    out = Path(args.out) if args.out else rdir
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "gabor.bin"
-    write_map(path, gmap.taus, gmap.omegas / cfg.laser.omega_L, gmap.values,
+        * laser.omega_L
+    gmap = gabor(t_axis, series, t_w, omegas, laser=laser)
+    path = run.out / "gabor.bin"
+    write_map(path, gmap.taus, gmap.omegas / laser.omega_L, gmap.values,
               "tau", "order")
-    if out == rdir:
-        manifest.record_output(path)
-        manifest.save()
+    run.save(path)
     print(f"gabor map ({gmap.taus.size} x {gmap.omegas.size}) -> {path}")
     return 0
 
 
-def _load_snapshots(rdir: Path, cfg: RunConfig):
-    snap_dir = rdir / "snapshots"
-    files = sorted(snap_dir.glob("config_*.bin"))
-    if not files:
-        raise MissingArtifactError(f"no snapshots under {snap_dir}")
-    all_states, times = [], None
-    for f in files:
-        _, _, t, states = read_wavefunctions(f)
-        times = t if times is None else times
-        all_states.append(states)
-    return times, np.stack(all_states, axis=1)  # (n_probe, n_c, n)
-
-
 def cmd_purity(args) -> int:
-    manifest = _load_records_manifest(args.records)
-    cfg = parse_config(manifest.data["config"])
-    rdir = Path(args.records)
-    times, snaps = _load_snapshots(rdir, cfg)
-    record = EnsembleRecord(
-        spec=cfg.ensemble_spec(), configs=[None] * snaps.shape[1],
-        times=times, norm=np.empty(0), x_expect=np.empty(0),
-        accel=np.empty(0), snapshot_times=times, snapshots=snaps)
-    t_axis, p_tot, p_ph = purity_series(record, cfg.mask)
-    out = Path(args.out) if args.out else rdir
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "purity.csv"
+    run = _Analysis(args)
+    cfg = run.cfg
+    times, snaps = run.snapshots()
+    t_axis, p_tot, p_ph = purity_series(times, snaps, run.grid, cfg.mask)
+    path = run.out / "purity.csv"
     write_csv(path, {"t": t_axis, "purity_total": p_tot,
                      "purity_photoelectron": p_ph},
-              "purity", manifest.checksum())
+              "purity", run.manifest.checksum())
     window = (cfg.laser.n_up * cfg.laser.period, cfg.laser.duration)
-    rows = {"which": [], "gamma": [], "t_star_fs": [], "t0_fs": [],
-            "residual": []}
-    for which, series in (("total", p_tot), ("photoelectron", p_ph)):
-        fit = fit_purity_decay(t_axis, series, window)
-        rows["which"].append(0.0 if which == "total" else 1.0)
-        rows["gamma"].append(fit.gamma)
-        rows["t_star_fs"].append(fit.t_star)
-        rows["t0_fs"].append(fit.t0)
-        rows["residual"].append(fit.residual_norm)
+    fits = [fit_purity_decay(t_axis, series, window)
+            for series in (p_tot, p_ph)]
+    for which, fit in zip(("total", "photoelectron"), fits):
         print(f"{which}: gamma={fit.gamma:.3f} t*={fit.t_star:.3f} fs "
               f"t0={fit.t0:.3f} fs residual={fit.residual_norm:.2e}")
-    fit_path = out / "purity_fit.csv"
-    write_csv(fit_path, rows, "purity", manifest.checksum(),
+    rows = {"which": [0.0, 1.0], "gamma": [f.gamma for f in fits],
+            "t_star_fs": [f.t_star for f in fits],
+            "t0_fs": [f.t0 for f in fits],
+            "residual": [f.residual_norm for f in fits]}
+    fit_path = run.out / "purity_fit.csv"
+    write_csv(fit_path, rows, "purity", run.manifest.checksum(),
               extra_comments=("which: 0 = total, 1 = photoelectron",))
-    if out == rdir:
-        manifest.record_output(path)
-        manifest.record_output(fit_path)
-        manifest.save()
+    run.save(path, fit_path)
     return 0
 
 
 def cmd_density_map(args) -> int:
-    manifest = _load_records_manifest(args.records)
-    cfg = parse_config(manifest.data["config"])
-    rdir = Path(args.records)
-    times, snaps = _load_snapshots(rdir, cfg)
-    grid = Grid(cfg.x_min, cfg.x_max, cfg.n_grid)
-    out = Path(args.out) if args.out else rdir
-    out.mkdir(parents=True, exist_ok=True)
+    if (args.x_lo is None) != (args.x_hi is None):
+        raise ConfigError("--x-lo and --x-hi must be given together")
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be >= 1, got {args.stride}")
+    run = _Analysis(args)
+    times, snaps = run.snapshots()
+    grid = run.grid
+    x_range = None
+    if args.x_lo is not None:
+        if not grid.x_min <= args.x_lo < args.x_hi <= grid.x_max:
+            raise ConfigError(f"--x-lo/--x-hi must satisfy {grid.x_min:g} <= "
+                              f"x-lo < x-hi <= {grid.x_max:g}")
+        x_range = (args.x_lo, args.x_hi)
 
     idx = int(np.argmin(np.abs(times - args.time))) if args.time is not None \
         else len(times) // 2
-    x_range = (args.x_lo, args.x_hi) if args.x_lo is not None else None
     dmap = density_matrix_map(snaps[idx], grid,
-                              mask=cfg.mask if args.masked else None,
+                              mask=run.cfg.mask if args.masked else None,
                               x_range=x_range, stride=args.stride)
-    dpath = out / "density_matrix.bin"
+    dpath = run.out / "density_matrix.bin"
     write_map(dpath, dmap.row_axis, dmap.col_axis, dmap.values, "x", "x'")
 
-    record = EnsembleRecord(
-        spec=cfg.ensemble_spec(), configs=[None] * snaps.shape[1],
-        times=times, norm=np.empty(0), x_expect=np.empty(0),
-        accel=np.empty(0), snapshot_times=times, snapshots=snaps)
-    pmap = probability_density_map(record)
-    ppath = out / "probability_density.bin"
+    pmap = probability_density_map(times, snaps, grid)
+    ppath = run.out / "probability_density.bin"
     write_map(ppath, pmap.row_axis, pmap.col_axis, pmap.values, "t", "x")
-    if out == rdir:
-        manifest.record_output(dpath)
-        manifest.record_output(ppath)
-        manifest.save()
+    run.save(dpath, ppath)
     print(f"density matrix at t={times[idx]:.2f} -> {dpath}")
     print(f"probability density map -> {ppath}")
     return 0
@@ -414,10 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchors", default="2.0,2.5",
                    help="orbit anchor times in laser cycles")
 
-    p = add("pair-correlation", cmd_pair_correlation, records=False,
-            run_cfg=False)
-    p.add_argument("--records", help="directory written by `run`")
-    p.add_argument("--env", help="environment.txt from sample-env")
+    p = add("pair-correlation", cmd_pair_correlation, run_cfg=False)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--records", help="directory written by `run`")
+    source.add_argument("--env", help="environment.txt from sample-env")
     p.add_argument("--bin-width", type=float, default=0.5)
     p.add_argument("--r-max", type=float, default=80.0)
 

@@ -45,6 +45,10 @@ class RunConfig:
     workers: int = field(default=1, compare=False)
     out_dir: str = field(default="out", compare=False)
 
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+
     def ensemble_spec(self) -> EnsembleSpec:
         return EnsembleSpec(
             n_c=self.n_c, master_seed=self.master_seed,

@@ -18,7 +18,7 @@ bitwise independent of the worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .model import (AtomParams, EnvironmentConfig, LaserParams,
                     PerturberParams, gradient_atom, gradient_env,
                     potential_atom, potential_env)
 from .sampler import SeededRng, StructureParams, sample_configuration
-from .tdse import (Grid, PropagationRecord, PropagatorPlan, absorber_mask,
-                   ground_state, propagate)
+from .tdse import Grid, PropagatorPlan, absorber_mask, ground_state, propagate
 
 
 class PropagationFailure(RuntimeError):
@@ -118,7 +117,7 @@ class EnsembleRecord:
 
 
 def _propagate_block(spec: EnsembleSpec, configs: list[EnvironmentConfig],
-                     psi0: np.ndarray, first_index: int) -> PropagationRecord:
+                     psi0: np.ndarray, first_index: int) -> EnsembleRecord:
     """Propagate a contiguous block of configurations as one batch."""
     grid = spec.grid()
     x = grid.x
@@ -135,7 +134,10 @@ def _propagate_block(spec: EnsembleSpec, configs: list[EnvironmentConfig],
     bad = ~np.isfinite(rec.norm[-1])
     if np.any(bad):
         raise PropagationFailure(first_index + int(np.argmax(bad)))
-    return rec
+    return EnsembleRecord(
+        spec=spec, configs=configs, times=rec.times, norm=rec.norm,
+        x_expect=rec.x_expect, accel=rec.accel,
+        snapshot_times=rec.snapshot_times, snapshots=rec.snapshots)
 
 
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleRecord:
@@ -143,7 +145,7 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleRecord:
 
     The gas-phase ground state is prepared once and reused for every
     configuration: the buffer zone keeps the environment's overlap with the
-    bound state negligible.  Results are assembled in configuration order.
+    bound state negligible.  Blocks are merged in configuration order.
     """
     configs = [sample_configuration(SeededRng(spec.master_seed, i), spec.structure)
                for i in range(spec.n_c)]
@@ -154,26 +156,17 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleRecord:
     blocks = [(configs[a:b], int(a)) for a, b in zip(bounds[:-1], bounds[1:])
               if b > a]
     if len(blocks) == 1:
-        parts = [_propagate_block(spec, blocks[0][0], psi_g.amplitudes, 0)]
+        parts = [_propagate_block(spec, blocks[0][0], psi_g, 0)]
     else:
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             parts = list(pool.map(_propagate_block,
                                   [spec] * len(blocks),
                                   [b[0] for b in blocks],
-                                  [psi_g.amplitudes] * len(blocks),
+                                  [psi_g] * len(blocks),
                                   [b[1] for b in blocks]))
-
-    return EnsembleRecord(
-        spec=spec,
-        configs=configs,
-        times=parts[0].times,
-        norm=np.concatenate([p.norm for p in parts], axis=1),
-        x_expect=np.concatenate([p.x_expect for p in parts], axis=1),
-        accel=np.concatenate([p.accel for p in parts], axis=1),
-        snapshot_times=parts[0].snapshot_times,
-        snapshots=np.concatenate([p.snapshots for p in parts], axis=1),
-        ground_energy=e0,
-    )
+    record = merge_records(parts)
+    record.ground_energy = e0
+    return record
 
 
 def ensemble_expectation(record: EnsembleRecord, observable: str) -> np.ndarray:
@@ -211,12 +204,6 @@ def merge_records(records: list[EnsembleRecord]) -> EnsembleRecord:
     )
 
 
-def apply_photoelectron_mask(psi: np.ndarray, mask: MaskSpec,
-                             x: np.ndarray) -> np.ndarray:
-    """Pointwise multiply by the mask; the result is an unnormalized state."""
-    return psi * mask.values(x)
-
-
 def purity(snapshots: np.ndarray, dx: float,
            mask_values: np.ndarray | None = None) -> float:
     """tr[ρ²]/tr[ρ]² of the uniform mixture of the given states.
@@ -235,23 +222,23 @@ def purity(snapshots: np.ndarray, dx: float,
     return float(np.sum(np.abs(gram) ** 2) / trace**2)
 
 
-def purity_series(record: EnsembleRecord,
+def purity_series(times: np.ndarray, snapshots: np.ndarray, grid: Grid,
                   mask: MaskSpec | None = None) -> tuple[np.ndarray, np.ndarray,
                                                          np.ndarray]:
-    """Purity at each probe time, for the full state and the masked state.
+    """Purity at each snapshot time, for the full state and the masked state.
 
-    Returns (times, P_total, P_masked); the masked series is all-ones when
-    no mask is given.
+    `snapshots` is (n_s, n_c, n), aligned with `times`.  Returns
+    (times, P_total, P_masked); the masked series is all-ones when no mask
+    is given.
     """
-    grid = record.spec.grid()
     mvals = mask.values(grid.x) if mask is not None else None
-    p_tot = np.empty(record.snapshot_times.size)
-    p_ph = np.ones(record.snapshot_times.size)
-    for k in range(record.snapshot_times.size):
-        p_tot[k] = purity(record.snapshots[k], grid.dx)
+    p_tot = np.empty(times.size)
+    p_ph = np.ones(times.size)
+    for k in range(times.size):
+        p_tot[k] = purity(snapshots[k], grid.dx)
         if mvals is not None:
-            p_ph[k] = purity(record.snapshots[k], grid.dx, mvals)
-    return record.snapshot_times, p_tot, p_ph
+            p_ph[k] = purity(snapshots[k], grid.dx, mvals)
+    return times, p_tot, p_ph
 
 
 @dataclass
@@ -288,7 +275,8 @@ def density_matrix_map(snapshots: np.ndarray, grid: Grid,
     return SpatialMap(grid.x[idx], grid.x[idx], np.abs(rho) ** 2, "x", "x'")
 
 
-def probability_density_map(record: EnsembleRecord) -> SpatialMap:
-    """Ensemble-averaged |ψ(x, t)|² over the stored snapshot times."""
-    dens = np.mean(np.abs(record.snapshots) ** 2, axis=1)
-    return SpatialMap(record.snapshot_times, record.spec.grid().x, dens, "t", "x")
+def probability_density_map(times: np.ndarray, snapshots: np.ndarray,
+                            grid: Grid) -> SpatialMap:
+    """Ensemble-averaged |ψ(x, t)|² of (n_s, n_c, n) snapshots at `times`."""
+    dens = np.mean(np.abs(snapshots) ** 2, axis=1)
+    return SpatialMap(times, grid.x, dens, "t", "x")

@@ -7,7 +7,7 @@ Environment:   identical attractive Gaussian wells centred on the scatterer
                positions x_k,  v(x) = -A_E exp(-x²/2σ_E²)
 
 Everything here is a pure function of its value arguments; conversion
-helpers (nm, fs, W·cm⁻²) live at the bottom and are only meant for the
+helpers (nm, W·cm⁻²) live at the bottom and are only meant for the
 configuration boundary.
 """
 
@@ -180,11 +180,6 @@ def quiver_radius(laser: LaserParams) -> float:
     return laser.F_L / laser.omega_L**2
 
 
-def cutoff_order(laser: LaserParams, ip: float) -> float:
-    """Three-step cutoff (3.17 U_p + I_p) expressed in harmonic orders."""
-    return (3.17 * ponderomotive_energy(laser) + ip) / laser.omega_L
-
-
 # --- configuration-boundary unit helpers ---
 
 def omega_from_wavelength_nm(wavelength_nm: float) -> float:
@@ -199,11 +194,3 @@ def field_from_intensity_wcm2(intensity_wcm2: float) -> float:
     if intensity_wcm2 < 0:
         raise ValueError("intensity must be nonnegative")
     return float(np.sqrt(intensity_wcm2 / AU_INTENSITY_WCM2))
-
-
-def au_to_fs(t_au) -> float:
-    return t_au * AU_TIME_FS
-
-
-def fs_to_au(t_fs) -> float:
-    return t_fs / AU_TIME_FS

@@ -199,17 +199,49 @@ def backscatter_trajectory(t_i: float, t_s: float,
     return BackscatterTrajectory(t_i=t_i, t_s=t_s, laser=laser)
 
 
-def _flow_steps(t0: float, t1: float, h_target: float) -> tuple[int, float]:
+def _drift_kick(z0, t0: float, t1: float, laser: LaserParams,
+                atom: AtomParams | None, h_target: float,
+                tangent: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Equal drift-kick steps of at most h_target from z0 at t0 to t1.
+
+    With `tangent` the variational equations of the same composition
+    (drift: δx += a h δp; kick: δp -= b h V''(x) δx) carry the tangent map
+    M along, so M is the exact Jacobian of the discrete flow map; without
+    it M stays the identity.  Returns (z(t1), M).
+    """
     span = t1 - t0
-    if span == 0.0:
-        return 0, h_target
-    n = max(1, int(np.ceil(abs(span) / h_target)))
-    return n, span / n
-
-
-_A = tuple(float(a) for a in DRIFT_COEFFS)
-_B = tuple(float(b) for b in KICK_COEFFS)
-_CT = tuple(float(c) for c in KICK_TIMES)
+    n = max(1, int(np.ceil(abs(span) / h_target))) if span else 0
+    h = span / max(n, 1)
+    x, p = float(z0[0]), float(z0[1])
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    w, f = laser.omega_L, laser.F_L
+    alpha = atom.softening if atom is not None else None
+    sin = math.sin
+    # python floats: the scalar loop runs faster on them than on numpy's
+    ah = (DRIFT_COEFFS * h).tolist()
+    bh = (KICK_COEFFS * h).tolist()
+    ch = (KICK_TIMES * h).tolist()
+    for k in range(n):
+        t = t0 + k * h
+        x += ah[0] * p
+        if tangent:
+            m00 += ah[0] * m10
+            m01 += ah[0] * m11
+        for j in range(6):
+            force = f * sin(w * (t + ch[j]))
+            if alpha is not None:
+                r2 = x * x + alpha
+                force += x * r2**-1.5
+                if tangent:
+                    curv = bh[j] * (alpha - 2.0 * x * x) * r2**-2.5
+                    m10 -= curv * m00
+                    m11 -= curv * m01
+            p -= bh[j] * force
+            x += ah[j + 1] * p
+            if tangent:
+                m00 += ah[j + 1] * m10
+                m01 += ah[j + 1] * m11
+    return np.array([x, p]), np.array([[m00, m01], [m10, m11]])
 
 
 def classical_flow(z0, t0: float, t1: float, laser: LaserParams,
@@ -221,21 +253,7 @@ def classical_flow(z0, t0: float, t1: float, laser: LaserParams,
     kick time advances with the accumulated drift coefficients.  atom=None
     drops the soft-core force (field-only flow).
     """
-    x, p = float(z0[0]), float(z0[1])
-    n, h = _flow_steps(t0, t1, h_target)
-    w, f = laser.omega_L, laser.F_L
-    alpha = atom.softening if atom is not None else None
-    sin = math.sin
-    for k in range(n):
-        t = t0 + k * h
-        x += _A[0] * h * p
-        for j in range(6):
-            force = f * sin(w * (t + _CT[j] * h))
-            if alpha is not None:
-                force += x * (x * x + alpha) ** -1.5
-            p -= _B[j] * h * force
-            x += _A[j + 1] * h * p
-    return np.array([x, p])
+    return _drift_kick(z0, t0, t1, laser, atom, h_target, tangent=False)[0]
 
 
 def monodromy(z0, t0: float, laser: LaserParams, atom: AtomParams | None,
@@ -243,35 +261,11 @@ def monodromy(z0, t0: float, laser: LaserParams, atom: AtomParams | None,
               period: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One-period flow and its linearization around the trajectory.
 
-    The tangent map is accumulated through the variational equations of the
-    same composition (drift: δx += a h δp; kick: δp -= b h V''(x) δx), so it
-    is the exact Jacobian of the discrete flow map.  Returns (z_T, M).
+    The tangent map M is the exact Jacobian of the discrete flow map (see
+    `_drift_kick`).  Returns (z_T, M).
     """
     T = laser.period if period is None else period
-    x, p = float(z0[0]), float(z0[1])
-    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-    n, h = _flow_steps(t0, t0 + T, h_target)
-    w, f = laser.omega_L, laser.F_L
-    alpha = atom.softening if atom is not None else None
-    sin = math.sin
-    for k in range(n):
-        t = t0 + k * h
-        x += _A[0] * h * p
-        m00 += _A[0] * h * m10
-        m01 += _A[0] * h * m11
-        for j in range(6):
-            force = f * sin(w * (t + _CT[j] * h))
-            if alpha is not None:
-                r2 = x * x + alpha
-                force += x * r2**-1.5
-                curv = _B[j] * h * (alpha - 2.0 * x * x) * r2**-2.5
-                m10 -= curv * m00
-                m11 -= curv * m01
-            p -= _B[j] * h * force
-            x += _A[j + 1] * h * p
-            m00 += _A[j + 1] * h * m10
-            m01 += _A[j + 1] * h * m11
-    return np.array([x, p]), np.array([[m00, m01], [m10, m11]])
+    return _drift_kick(z0, t0, t0 + T, laser, atom, h_target, tangent=True)
 
 
 def classify(m: np.ndarray, tol: float = 1e-6) -> str:

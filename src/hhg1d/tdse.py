@@ -66,22 +66,6 @@ class Grid:
         return np.pi / self.dx
 
 
-@dataclass
-class Wavefunction:
-    """Complex amplitudes on a Grid, stamped with the current time."""
-
-    amplitudes: np.ndarray
-    grid: Grid
-    time: float = 0.0
-
-    def norm(self) -> float:
-        """⟨ψ|ψ⟩ as the Riemann sum Σ|ψ|² dx."""
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx)
-
-    def copy(self) -> "Wavefunction":
-        return Wavefunction(self.amplitudes.copy(), self.grid, self.time)
-
-
 def state_norm(psi: np.ndarray, dx: float):
     """Σ|ψ|² dx along the last axis."""
     return np.sum(np.abs(psi) ** 2, axis=-1) * dx
@@ -120,25 +104,21 @@ class PropagatorPlan:
     """
 
     def __init__(self, grid: Grid, dt: float, static_potential: np.ndarray,
-                 laser: LaserParams, mask: np.ndarray | None = None,
-                 fft_workers: int = 1):
+                 laser: LaserParams, mask: np.ndarray | None = None):
         if dt == 0.0:
             raise ValueError("dt must be nonzero")
         self.grid = grid
         self.dt = dt
         self.laser = laser
         self.mask = mask
-        self.fft_workers = fft_workers
-        self.static_potential = np.asarray(static_potential, dtype=float)
         kin = -0.5j * dt * grid.p**2
         self.kinetic_factors = [np.exp(a * kin) for a in DRIFT_COEFFS]
-        pot = -1j * dt * self.static_potential
+        pot = -1j * dt * np.asarray(static_potential, dtype=float)
         self.static_kick_factors = [np.exp(b * pot) for b in KICK_COEFFS]
         self.kick_times = KICK_TIMES * dt
 
 
-def step(psi: np.ndarray, t: float, plan: PropagatorPlan,
-         field_fn: Callable | None = None) -> np.ndarray:
+def step(psi: np.ndarray, t: float, plan: PropagatorPlan) -> np.ndarray:
     """Advance ψ(t) by one time step dt (no absorber).
 
     The field factor of kick k is evaluated at t plus the accumulated drift
@@ -146,21 +126,21 @@ def step(psi: np.ndarray, t: float, plan: PropagatorPlan,
     coupling x·F(t).  Multiplications run in place on a fresh copy, so the
     input array is left untouched.
     """
-    if field_fn is None:
-        field_fn = field_at
+    # The classical flow in `semiclassics` runs the same composition in its
+    # own scalar loop: a drift/kick driver shared through callbacks made one
+    # period of it 1.5x slower.
     x = plan.grid.x
     dt = plan.dt
-    w = plan.fft_workers
-    psi_k = scipy.fft.fft(psi, axis=-1, workers=w)
+    psi_k = scipy.fft.fft(psi, axis=-1)
     psi_k *= plan.kinetic_factors[0]
-    psi = scipy.fft.ifft(psi_k, axis=-1, workers=w, overwrite_x=True)
+    psi = scipy.fft.ifft(psi_k, axis=-1, overwrite_x=True)
     for k in range(6):
-        f_t = field_fn(t + plan.kick_times[k], plan.laser)
+        f_t = field_at(t + plan.kick_times[k], plan.laser)
         psi *= plan.static_kick_factors[k]
         psi *= np.exp((-1j * KICK_COEFFS[k] * dt * f_t) * x)
-        psi_k = scipy.fft.fft(psi, axis=-1, workers=w, overwrite_x=True)
+        psi_k = scipy.fft.fft(psi, axis=-1, overwrite_x=True)
         psi_k *= plan.kinetic_factors[k + 1]
-        psi = scipy.fft.ifft(psi_k, axis=-1, workers=w, overwrite_x=True)
+        psi = scipy.fft.ifft(psi_k, axis=-1, overwrite_x=True)
     return psi
 
 
@@ -181,23 +161,18 @@ class PropagationRecord:
     accel: np.ndarray         # -⟨ψ|V'+𝒱'|ψ⟩ - F(t)⟨ψ|ψ⟩, not renormalized
     snapshot_times: np.ndarray
     snapshots: np.ndarray     # (n_probe, ..., n) complex amplitudes
-    extras: dict = field(default_factory=dict)
 
 
 def propagate(psi0: np.ndarray, plan: PropagatorPlan, t_start: float,
               t_end: float, static_gradient: np.ndarray,
               record_stride: int = 4,
-              probe_times: Sequence[float] = (),
-              extra_recorders: dict[str, Callable] | None = None,
-              field_fn: Callable | None = None) -> PropagationRecord:
+              probe_times: Sequence[float] = ()) -> PropagationRecord:
     """March from t_start to t_end, recording every `record_stride` steps.
 
     Snapshots are stored at the step times closest to each requested probe
     time.  `static_gradient` is d/dx of the static potential, needed by the
     acceleration recorder; shapes follow `static_potential` in the plan.
     """
-    if field_fn is None:
-        field_fn = field_at
     dt = plan.dt
     n_steps = int(round((t_end - t_start) / dt))
     if n_steps < 0:
@@ -207,7 +182,6 @@ def propagate(psi0: np.ndarray, plan: PropagatorPlan, t_start: float,
     x = plan.grid.x
     dx = plan.grid.dx
     grad = np.asarray(static_gradient, dtype=float)
-    extra_recorders = extra_recorders or {}
 
     probe_times = np.asarray(sorted(probe_times), dtype=float)
     probe_steps = np.unique(np.round((probe_times - t_start) / dt).astype(int)) \
@@ -216,7 +190,6 @@ def propagate(psi0: np.ndarray, plan: PropagatorPlan, t_start: float,
 
     psi = np.asarray(psi0, dtype=complex).copy()
     times, norms, xs, accels = [], [], [], []
-    extras: dict[str, list] = {name: [] for name in extra_recorders}
     snap_times, snaps = [], []
 
     def record(t):
@@ -226,9 +199,7 @@ def propagate(psi0: np.ndarray, plan: PropagatorPlan, t_start: float,
         norms.append(w)
         xs.append(np.sum(dens * x, axis=-1) * dx)
         accels.append(-np.sum(dens * grad, axis=-1) * dx
-                      - field_fn(t, plan.laser) * w)
-        for name, fn in extra_recorders.items():
-            extras[name].append(fn(psi, t))
+                      - field_at(t, plan.laser) * w)
 
     probe_set = set(int(s) for s in probe_steps)
     record(t_start)
@@ -237,7 +208,7 @@ def propagate(psi0: np.ndarray, plan: PropagatorPlan, t_start: float,
         snaps.append(psi.copy())
     for k in range(1, n_steps + 1):
         t_prev = t_start + (k - 1) * dt
-        psi = step(psi, t_prev, plan, field_fn)
+        psi = step(psi, t_prev, plan)
         psi = apply_absorber(psi, plan)
         t_now = t_start + k * dt
         if k % record_stride == 0:
@@ -255,23 +226,7 @@ def propagate(psi0: np.ndarray, plan: PropagatorPlan, t_start: float,
         snapshot_times=np.array(snap_times),
         snapshots=(np.array(snaps) if snaps
                    else np.empty((0,) + psi.shape, dtype=complex)),
-        extras={name: np.array(vals) for name, vals in extras.items()},
     )
-
-
-def dipole_accel_instant(psi: np.ndarray, t: float, static_gradient: np.ndarray,
-                         laser: LaserParams, dx: float,
-                         field_fn: Callable | None = None):
-    """Ehrenfest dipole acceleration -⟨V'+𝒱'⟩ - F(t), per unit of ⟨ψ|ψ⟩."""
-    if field_fn is None:
-        field_fn = field_at
-    dens = np.abs(psi) ** 2
-    w = np.sum(dens, axis=-1) * dx
-    if np.any(w <= 0.0):
-        raise ValueError("dipole acceleration undefined for a zero-norm state")
-    raw = -np.sum(dens * np.asarray(static_gradient), axis=-1) * dx \
-        - field_fn(t, laser) * w
-    return raw / w
 
 
 def kinetic_energy(psi: np.ndarray, grid: Grid):
@@ -290,7 +245,7 @@ def rayleigh_energy(psi: np.ndarray, grid: Grid, potential: np.ndarray):
 def ground_state(grid: Grid, potential: Callable | np.ndarray,
                  dtau_stages: Sequence[float] = (0.5, 0.1, 0.02, 0.005),
                  drift_tol: float = 1e-10,
-                 max_iter: int = 20000) -> tuple[Wavefunction, float]:
+                 max_iter: int = 20000) -> tuple[np.ndarray, float]:
     """Lowest eigenstate by imaginary-time split-operator propagation.
 
     The decay kernel is the Strang splitting e^{-dτV/2} e^{-dτT} e^{-dτV/2};
@@ -300,7 +255,8 @@ def ground_state(grid: Grid, potential: Callable | np.ndarray,
     Each stage runs its dτ until the Rayleigh energy drifts by less than
     `drift_tol` per step; shrinking dτ between stages removes the splitting
     bias, and the Rayleigh quotient is variational so the residual energy
-    error is quadratic in the state error.
+    error is quadratic in the state error.  Returns (ψ, E): the normalized
+    amplitudes on the grid and the energy.
     """
     v = potential(grid.x) if callable(potential) else np.asarray(potential)
     if v.shape != (grid.n,):
@@ -328,7 +284,7 @@ def ground_state(grid: Grid, potential: Callable | np.ndarray,
     # fix the arbitrary global phase so the state is real and positive at its peak
     peak = np.argmax(np.abs(psi))
     psi = psi * np.exp(-1j * np.angle(psi[peak]))
-    return Wavefunction(psi, grid, 0.0), energy
+    return psi, energy
 
 
 def fd_eigenstates(grid: Grid, potential: np.ndarray,

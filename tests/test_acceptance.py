@@ -56,7 +56,7 @@ def gas_record(gas_grid, gas_ground):
     psi0, _ = gas_ground
     plan = PropagatorPlan(gas_grid, 0.04, potential_atom(gas_grid.x, ATOM),
                           REDUCED, mask=absorber_mask(gas_grid))
-    return propagate(psi0.amplitudes, plan, 0.0, REDUCED.duration,
+    return propagate(psi0, plan, 0.0, REDUCED.duration,
                      gradient_atom(gas_grid.x, ATOM), record_stride=1)
 
 
@@ -151,13 +151,17 @@ def test_criterion_04_liquid_suppression(gas_spectrum, liquid64):
 
 def test_criterion_05_purity(liquid_single, liquid64):
     # single configuration: exactly pure at every probe
-    _, p1_tot, p1_ph = purity_series(liquid_single, MaskSpec())
+    _, p1_tot, p1_ph = purity_series(
+        liquid_single.snapshot_times, liquid_single.snapshots,
+        liquid_single.spec.grid(), MaskSpec())
     ok_single = np.all(np.abs(p1_tot - 1.0) < 1e-12) \
         and np.all(np.abs(p1_ph - 1.0) < 1e-12)
     report("05a single-configuration purity", ok_single,
            f"max |P-1| = {np.abs(p1_tot - 1).max():.2e} (require < 1e-12)")
 
-    times, _, p_ph = purity_series(liquid64, MaskSpec())
+    times, _, p_ph = purity_series(liquid64.snapshot_times,
+                                   liquid64.snapshots,
+                                   liquid64.spec.grid(), MaskSpec())
     ok_bound = np.all(p_ph <= 1.0 + 1e-9)
     report("05b masked purity bounded", ok_bound,
            f"max P_ph = {p_ph.max():.6f} (require <= 1)")
@@ -241,7 +245,7 @@ def test_criterion_09_propagator_quality(gas_ground, gas_grid):
     psi0, _ = gas_ground
     plan = PropagatorPlan(gas_grid, 0.05, potential_atom(gas_grid.x, ATOM),
                           REDUCED)
-    psi = psi0.amplitudes.copy()
+    psi = psi0.copy()
     t = 2 * REDUCED.period
     for _ in range(int(round(REDUCED.period / 0.05))):
         psi = step(psi, t, plan)
@@ -259,7 +263,7 @@ def test_criterion_09_propagator_quality(gas_ground, gas_grid):
 
     def run(dt):
         plan = PropagatorPlan(g, dt, v, REDUCED)
-        psi = psi_g.amplitudes.copy()
+        psi = psi_g.copy()
         t = 2 * REDUCED.period
         for _ in range(int(round(horizon / dt))):
             psi = step(psi, t, plan)
@@ -301,7 +305,7 @@ def test_criterion_10_ehrenfest_consistency():
     psi0, e0 = ground_state(g, lambda x: potential_atom(x, ATOM))
     plan = PropagatorPlan(g, 0.04, potential_atom(g.x, ATOM), REDUCED,
                           mask=None)
-    rec = propagate(psi0.amplitudes, plan, 0.0, 6 * REDUCED.period,
+    rec = propagate(psi0, plan, 0.0, 6 * REDUCED.period,
                     gradient_atom(g.x, ATOM), record_stride=1)
     ts, xs, acc = rec.times, rec.x_expect, rec.accel
     dt = ts[1] - ts[0]

@@ -45,7 +45,65 @@ def tree_digest(root: Path, skip=("manifest.json",)) -> dict:
     return out
 
 
+@pytest.fixture(scope="module")
+def tiny_records(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    cfg = root / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    assert main(["run", "--config", str(cfg), "--out",
+                 str(root / "records")]) == 0
+    return root
+
+
+BAD_INPUTS = {
+    "run_workers_0": ["run", "--config", "{cfg}", "--workers", "0"],
+    "run_workers_negative": ["run", "--config", "{cfg}", "--workers", "-1"],
+    "config_workers_0": ["run", "--config", "{cfg_workers_0}"],
+    "density_map_x_lo_alone": ["density-map", "--records", "{records}",
+                               "--x-lo", "-10"],
+    "density_map_x_hi_alone": ["density-map", "--records", "{records}",
+                               "--x-hi", "10"],
+    "density_map_x_range_off_grid": ["density-map", "--records",
+                                     "{records}", "--x-lo", "-90",
+                                     "--x-hi", "10"],
+    "density_map_stride_0": ["density-map", "--records", "{records}",
+                             "--stride", "0"],
+    "spectrum_member_n_c": ["spectrum", "--records", "{records}",
+                            "--member", "2"],
+    "gabor_member_negative": ["gabor", "--records", "{records}",
+                              "--member", "-1"],
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_is_config_error(self, case, tiny_records, tmp_path,
+                                       capsys):
+        cfg_workers_0 = tmp_path / "workers0.cfg"
+        cfg_workers_0.write_text(TINY_CONFIG + "workers = 0\n")
+        places = {"cfg": tiny_records / "tiny.cfg",
+                  "cfg_workers_0": cfg_workers_0,
+                  "records": tiny_records / "records"}
+        argv = [a.format(**places) for a in BAD_INPUTS[case]]
+        if argv[0] == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        before = tree_digest(tiny_records / "records", skip=())
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert tree_digest(tiny_records / "records", skip=()) == before
+        assert not (tmp_path / "out").exists()
+
+    def test_pair_correlation_needs_one_source(self, tiny_records, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pair-correlation"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["pair-correlation", "--records",
+                  str(tiny_records / "records"), "--env",
+                  str(tiny_records / "records" / "environment.txt")])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
     def test_config_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[environment]\nsigma = -4\n")

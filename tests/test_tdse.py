@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from hhg1d.model import (LaserParams, gradient_atom, potential_atom)
-from hhg1d.tdse import (ConvergenceError, Grid, PropagatorPlan, Wavefunction,
-                        absorber_mask, apply_absorber, dipole_accel_instant,
-                        fd_eigenstates, ground_state, overlap, propagate,
-                        state_norm, step)
+from hhg1d.tdse import (ConvergenceError, Grid, PropagatorPlan, absorber_mask,
+                        apply_absorber, fd_eigenstates, ground_state, overlap,
+                        propagate, state_norm, step)
 
 
 def gaussian_packet(grid, x0, width, k0=0.0):
@@ -50,7 +49,7 @@ class TestGroundState:
 
     def test_even_and_nodeless(self, fine_grid, soft_ground):
         psi, _ = soft_ground
-        dens = np.abs(psi.amplitudes)
+        dens = np.abs(psi)
         assert np.all(dens[1:] > 0) or dens.min() < 1e-12 * dens.max()
         flipped = np.empty_like(dens)
         flipped[0] = dens[0]
@@ -121,7 +120,7 @@ class TestUnitarityAndReversal:
         psi0, _ = ground_state(g, lambda x: potential_atom(x, atom))
         plan = PropagatorPlan(g, 0.05, potential_atom(g.x, atom),
                               reduced_laser)
-        psi = psi0.amplitudes.copy()
+        psi = psi0.copy()
         t = 2 * reduced_laser.period
         for _ in range(int(round(reduced_laser.period / 0.05))):
             psi = step(psi, t, plan)
@@ -135,7 +134,7 @@ class TestUnitarityAndReversal:
         fwd = PropagatorPlan(g, 0.05, v, reduced_laser)
         bwd = PropagatorPlan(g, -0.05, v, reduced_laser)
         n = int(round(reduced_laser.period / 0.05))
-        psi = psi0.amplitudes.copy()
+        psi = psi0.copy()
         t = 2 * reduced_laser.period
         for _ in range(n):
             psi = step(psi, t, fwd)
@@ -143,7 +142,7 @@ class TestUnitarityAndReversal:
         for _ in range(n):
             psi = step(psi, t, bwd)
             t += bwd.dt
-        fidelity = abs(overlap(psi0.amplitudes, psi, g.dx))
+        fidelity = abs(overlap(psi0, psi, g.dx))
         assert fidelity > 1.0 - 1e-6
 
     def test_fourth_order_convergence(self, atom, reduced_laser):
@@ -154,7 +153,7 @@ class TestUnitarityAndReversal:
 
         def run(dt):
             plan = PropagatorPlan(g, dt, v, reduced_laser)
-            psi = psi0.amplitudes.copy()
+            psi = psi0.copy()
             t = 2 * reduced_laser.period
             for _ in range(int(round(horizon / dt))):
                 psi = step(psi, t, plan)
@@ -230,10 +229,10 @@ class TestPropagate:
         psi0, _ = ground_state(g, lambda x: potential_atom(x, atom))
         plan = PropagatorPlan(g, 0.05, potential_atom(g.x, atom), laser,
                               mask=absorber_mask(g))
-        rec = propagate(psi0.amplitudes, plan, 0.0, laser.duration,
+        rec = propagate(psi0, plan, 0.0, laser.duration,
                         gradient_atom(g.x, atom), record_stride=4,
                         probe_times=[laser.duration])
-        survival = abs(overlap(psi0.amplitudes, rec.snapshots[-1], g.dx))
+        survival = abs(overlap(psi0, rec.snapshots[-1], g.dx))
         assert 0.0 < survival < 1.0
 
     def test_ehrenfest_against_finite_difference(self, atom, reduced_laser):
@@ -244,7 +243,7 @@ class TestPropagate:
         psi0, e0 = ground_state(g, lambda x: potential_atom(x, atom))
         plan = PropagatorPlan(g, 0.04, potential_atom(g.x, atom),
                               reduced_laser, mask=None)
-        rec = propagate(psi0.amplitudes, plan, 0.0,
+        rec = propagate(psi0, plan, 0.0,
                         4 * reduced_laser.period,
                         gradient_atom(g.x, atom), record_stride=1)
         ts, xs, acc = rec.times, rec.x_expect, rec.accel
@@ -265,37 +264,19 @@ class TestPropagate:
 
 
 class TestDipoleAccel:
-    def test_stationary_state_field_off(self, fine_grid, atom, soft_ground):
-        psi, _ = soft_ground
-        val = dipole_accel_instant(psi.amplitudes, 0.0,
-                                   gradient_atom(fine_grid.x, atom),
-                                   FIELD_OFF, fine_grid.dx)
-        assert abs(val) < 1e-8
-
-    def test_even_density_kills_potential_term(self, fine_grid, atom):
-        psi = gaussian_packet(fine_grid, 0.0, 4.0)
-        val = dipole_accel_instant(psi, 0.0,
-                                   gradient_atom(fine_grid.x, atom),
-                                   FIELD_OFF, fine_grid.dx)
-        assert abs(val) < 1e-12
-
-    def test_zero_norm_errors(self, fine_grid, atom):
-        with pytest.raises(ValueError):
-            dipole_accel_instant(np.zeros(fine_grid.n, dtype=complex), 0.0,
-                                 gradient_atom(fine_grid.x, atom),
-                                 FIELD_OFF, fine_grid.dx)
-
-    def test_normalization_by_current_norm(self, fine_grid, atom):
-        psi = 0.5 * gaussian_packet(fine_grid, 1.5, 2.0)
-        laser = LaserParams(F_L=0.05, omega_L=0.057)
-        grad = gradient_atom(fine_grid.x, atom)
-        t = 0.25 * laser.period
-        full = dipole_accel_instant(psi / 0.5, t, grad, laser, fine_grid.dx)
-        scaled = dipole_accel_instant(psi, t, grad, laser, fine_grid.dx)
-        assert scaled == pytest.approx(full, rel=1e-12)
-
-
-class TestWavefunction:
-    def test_norm(self, fine_grid):
-        psi = Wavefunction(gaussian_packet(fine_grid, 0.0, 2.0), fine_grid)
-        assert psi.norm() == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("case", ["stationary_ground_state",
+                                      "even_density"])
+    def test_recorded_accel_vanishes(self, case, fine_grid, atom,
+                                     soft_ground):
+        # field off: a stationary state feels no net force, and an even
+        # density cancels the odd gradient of the even potential
+        if case == "stationary_ground_state":
+            psi, t_end, tol = soft_ground[0], 1.0, 1e-8
+        else:
+            psi, t_end, tol = gaussian_packet(fine_grid, 0.0, 4.0), 0.0, 1e-12
+        plan = PropagatorPlan(fine_grid, 0.05,
+                              potential_atom(fine_grid.x, atom), FIELD_OFF)
+        rec = propagate(psi, plan, 0.0, t_end,
+                        gradient_atom(fine_grid.x, atom), record_stride=1)
+        assert rec.times.size == int(round(t_end / 0.05)) + 1
+        assert np.abs(rec.accel).max() < tol
