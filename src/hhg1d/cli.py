@@ -36,34 +36,45 @@ from .ensemble import (PropagationFailure, density_matrix_map,
 from .model import potential_atom
 from .sampler import pair_correlation, sample_ensemble, save_configurations, \
     load_configurations
-from .semiclassics import (OrbitError, find_periodic_orbit, find_returns,
-                           max_return_energy, quiver_guess, symmetry_partner)
+from .semiclassics import (MESH_PER_CYCLE, OrbitError, find_periodic_orbit,
+                           find_returns, max_return_energy, quiver_guess,
+                           symmetry_partner)
 from .spectra import fit_purity_decay, gabor, hhg_spectrum
 from .storage import (Manifest, MissingArtifactError, read_map,
                       read_wavefunctions, write_csv, write_map,
                       write_wavefunctions)
-from .tdse import ConvergenceError, Grid, ground_state
+from .tdse import ConvergenceError, ground_state
 
 EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_NUMERICAL = 4
 
 
-def _resolve_config(args) -> RunConfig:
+def _start(args) -> tuple[RunConfig, Path, Manifest]:
+    """Resolve the configuration and its command-line overrides, then create
+    the output directory of a new product and its manifest."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if getattr(args, "workers", None) is not None:
-        cfg = replace(cfg, workers=args.workers)
-    if getattr(args, "out", None) is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    return cfg
-
-
-def _new_manifest(cfg: RunConfig) -> Manifest:
+    overrides = {"master_seed": args.seed, "workers": args.workers,
+                 "out_dir": args.out}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return Manifest(out, render_config(cfg), cfg.master_seed)
+    return cfg, out, Manifest(out, render_config(cfg), cfg.master_seed)
+
+
+def _finish(manifest: Manifest, paths) -> None:
+    """Enter each output in the manifest and save it."""
+    for path in paths:
+        manifest.record_output(path)
+    manifest.save()
+
+
+def _floats(text: str, option: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{option} must be a comma-separated list of "
+                          f"numbers, got {text!r}") from None
 
 
 def _load_records_manifest(records: str) -> Manifest:
@@ -75,11 +86,9 @@ def _load_records_manifest(records: str) -> Manifest:
 
 
 def cmd_ground_state(args) -> int:
-    cfg = _resolve_config(args)
-    manifest = _new_manifest(cfg)
-    grid = Grid(cfg.x_min, cfg.x_max, cfg.n_grid)
+    cfg, out, manifest = _start(args)
+    grid = cfg.grid()
     psi, energy = ground_state(grid, lambda x: potential_atom(x, cfg.atom))
-    out = Path(cfg.out_dir)
     write_csv(out / "ground_state.csv",
               {"x": grid.x, "density": np.abs(psi) ** 2,
                "potential": potential_atom(grid.x, cfg.atom)},
@@ -87,31 +96,24 @@ def cmd_ground_state(args) -> int:
               extra_comments=(f"energy_au: {energy:.12f}",))
     write_wavefunctions(out / "ground_state.bin", cfg.x_min, cfg.x_max,
                         [0.0], [psi])
-    manifest.record_output(out / "ground_state.csv")
-    manifest.record_output(out / "ground_state.bin")
-    manifest.save()
+    _finish(manifest, [out / "ground_state.csv", out / "ground_state.bin"])
     print(f"ground-state energy: {energy:.8f} a.u.")
     return 0
 
 
 def cmd_sample_env(args) -> int:
-    cfg = _resolve_config(args)
-    manifest = _new_manifest(cfg)
+    cfg, out, manifest = _start(args)
     configs = sample_ensemble(cfg.master_seed, cfg.n_c, cfg.structure)
-    out = Path(cfg.out_dir)
     save_configurations(out / "environment.txt", configs, cfg.structure,
                         cfg.master_seed)
-    manifest.record_output(out / "environment.txt")
-    manifest.save()
+    _finish(manifest, [out / "environment.txt"])
     print(f"sampled {cfg.n_c} configurations -> {out / 'environment.txt'}")
     return 0
 
 
 def cmd_run(args) -> int:
-    cfg = _resolve_config(args)
-    manifest = _new_manifest(cfg)
-    out = Path(cfg.out_dir)
-    record = run_ensemble(cfg.ensemble_spec(), workers=cfg.workers)
+    cfg, out, manifest = _start(args)
+    record = run_ensemble(cfg, workers=cfg.workers)
     (out / "config.txt").write_text(render_config(cfg))
     save_configurations(out / "environment.txt", record.configs,
                         cfg.structure, cfg.master_seed)
@@ -133,10 +135,8 @@ def cmd_run(args) -> int:
         write_wavefunctions(snap_dir / f"config_{i:04d}.bin",
                             cfg.x_min, cfg.x_max, record.snapshot_times,
                             record.snapshots[:, i, :])
-    for p in sorted(out.rglob("*")):
-        if p.is_file() and p.name != "manifest.json":
-            manifest.record_output(p)
-    manifest.save()
+    _finish(manifest, [p for p in sorted(out.rglob("*"))
+                       if p.is_file() and p.name != "manifest.json"])
     print(f"ensemble of {record.n_c} configurations stored in {out}")
     return 0
 
@@ -145,16 +145,20 @@ class _Analysis:
     """A stored run read by an analysis command, and where its outputs go.
 
     Outputs are written to --out, or beside the records; only in the latter
-    case are they entered in the run's manifest.
+    case are they entered in the run's manifest.  The output directory is
+    created by the first `path` call, after the command's input checks.
     """
 
     def __init__(self, args):
         self.manifest = _load_records_manifest(args.records)
         self.cfg = parse_config(self.manifest.data["config"])
-        self.grid = Grid(self.cfg.x_min, self.cfg.x_max, self.cfg.n_grid)
+        self.grid = self.cfg.grid()
         self.rdir = Path(args.records)
         self.out = Path(args.out) if args.out else self.rdir
+
+    def path(self, name: str) -> Path:
         self.out.mkdir(parents=True, exist_ok=True)
+        return self.out / name
 
     def accel(self, member: int | None) -> tuple[np.ndarray, np.ndarray]:
         """Time axis and the ensemble-mean or one member's acceleration."""
@@ -177,9 +181,7 @@ class _Analysis:
 
     def save(self, *paths: Path) -> None:
         if self.out == self.rdir:
-            for path in paths:
-                self.manifest.record_output(path)
-            self.manifest.save()
+            _finish(self.manifest, paths)
 
 
 def cmd_spectrum(args) -> int:
@@ -187,7 +189,7 @@ def cmd_spectrum(args) -> int:
     t_axis, series = run.accel(args.member)
     spec = hhg_spectrum(t_axis, series, run.cfg.laser, hann=args.hann)
     tag = f"member{args.member}" if args.member is not None else "mean"
-    path = run.out / f"spectrum_{tag}.csv"
+    path = run.path(f"spectrum_{tag}.csv")
     write_csv(path, {"order": spec.orders, "magnitude": spec.magnitude},
               "spectrum", run.manifest.checksum(),
               extra_comments=(f"source: {tag}", f"hann: {args.hann}"))
@@ -197,6 +199,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_gabor(args) -> int:
+    if not args.d_order > 0:
+        raise ConfigError(f"--d-order must be > 0, got {args.d_order:g}")
+    if not args.max_order >= 0:
+        raise ConfigError(f"--max-order must be >= 0, got {args.max_order:g}")
     run = _Analysis(args)
     laser = run.cfg.laser
     t_axis, series = run.accel(args.member)
@@ -204,7 +210,7 @@ def cmd_gabor(args) -> int:
     omegas = np.arange(0.0, args.max_order + 1e-9, args.d_order) \
         * laser.omega_L
     gmap = gabor(t_axis, series, t_w, omegas, laser=laser)
-    path = run.out / "gabor.bin"
+    path = run.path("gabor.bin")
     write_map(path, gmap.taus, gmap.omegas / laser.omega_L, gmap.values,
               "tau", "order")
     run.save(path)
@@ -217,7 +223,7 @@ def cmd_purity(args) -> int:
     cfg = run.cfg
     times, snaps = run.snapshots()
     t_axis, p_tot, p_ph = purity_series(times, snaps, run.grid, cfg.mask)
-    path = run.out / "purity.csv"
+    path = run.path("purity.csv")
     write_csv(path, {"t": t_axis, "purity_total": p_tot,
                      "purity_photoelectron": p_ph},
               "purity", run.manifest.checksum())
@@ -231,7 +237,7 @@ def cmd_purity(args) -> int:
             "t_star_fs": [f.t_star for f in fits],
             "t0_fs": [f.t0 for f in fits],
             "residual": [f.residual_norm for f in fits]}
-    fit_path = run.out / "purity_fit.csv"
+    fit_path = run.path("purity_fit.csv")
     write_csv(fit_path, rows, "purity", run.manifest.checksum(),
               extra_comments=("which: 0 = total, 1 = photoelectron",))
     run.save(path, fit_path)
@@ -251,6 +257,9 @@ def cmd_density_map(args) -> int:
         if not grid.x_min <= args.x_lo < args.x_hi <= grid.x_max:
             raise ConfigError(f"--x-lo/--x-hi must satisfy {grid.x_min:g} <= "
                               f"x-lo < x-hi <= {grid.x_max:g}")
+        if not np.any((grid.x >= args.x_lo) & (grid.x <= args.x_hi)):
+            raise ConfigError(f"--x-lo/--x-hi select no grid point "
+                              f"(spacing {grid.dx:g})")
         x_range = (args.x_lo, args.x_hi)
 
     idx = int(np.argmin(np.abs(times - args.time))) if args.time is not None \
@@ -258,11 +267,11 @@ def cmd_density_map(args) -> int:
     dmap = density_matrix_map(snaps[idx], grid,
                               mask=run.cfg.mask if args.masked else None,
                               x_range=x_range, stride=args.stride)
-    dpath = run.out / "density_matrix.bin"
+    dpath = run.path("density_matrix.bin")
     write_map(dpath, dmap.row_axis, dmap.col_axis, dmap.values, "x", "x'")
 
     pmap = probability_density_map(times, snaps, grid)
-    ppath = run.out / "probability_density.bin"
+    ppath = run.path("probability_density.bin")
     write_map(ppath, pmap.row_axis, pmap.col_axis, pmap.values, "t", "x")
     run.save(dpath, ppath)
     print(f"density matrix at t={times[idx]:.2f} -> {dpath}")
@@ -271,12 +280,17 @@ def cmd_density_map(args) -> int:
 
 
 def cmd_sfa(args) -> int:
-    cfg = _resolve_config(args)
-    manifest = _new_manifest(cfg)
-    out = Path(cfg.out_dir)
-    ells = [float(v) for v in args.ell_list.split(",")]
+    ells = _floats(args.ell_list, "--ell-list")
+    if not all(ell >= 0 for ell in ells):
+        raise ConfigError(f"--ell-list distances must be >= 0, got {ells}")
+    if not args.horizon >= 1.0 / MESH_PER_CYCLE:
+        raise ConfigError(f"--horizon must be >= {1.0 / MESH_PER_CYCLE:g} "
+                          f"cycles, got {args.horizon:g}")
+    if args.launches < 1:
+        raise ConfigError(f"--launches must be >= 1, got {args.launches}")
+    cfg, out, manifest = _start(args)
     laser = cfg.laser
-    emax = []
+    emax, paths = [], []
     for ell in ells:
         cols = {"t_i": [], "t_r": [], "e_r": [], "side": []}
         for t_i in np.linspace(0.0, laser.period, args.launches,
@@ -290,23 +304,20 @@ def cmd_sfa(args) -> int:
         write_csv(path, {k: np.array(v) for k, v in cols.items()},
                   "sfa", manifest.checksum(),
                   extra_comments=(f"ell_au: {ell}",))
-        manifest.record_output(path)
+        paths.append(path)
         emax.append(max_return_energy(ell, laser, horizon=args.horizon,
                                       n_launch=args.launches))
     epath = out / "sfa_emax.csv"
     write_csv(epath, {"ell": np.array(ells), "e_max": np.array(emax)},
               "sfa", manifest.checksum())
-    manifest.record_output(epath)
-    manifest.save()
+    _finish(manifest, paths + [epath])
     print(f"return maps for ell = {ells} -> {out}")
     return 0
 
 
 def cmd_orbits(args) -> int:
-    cfg = _resolve_config(args)
-    manifest = _new_manifest(cfg)
-    out = Path(cfg.out_dir)
-    anchors = [float(v) for v in args.anchors.split(",")]
+    anchors = _floats(args.anchors, "--anchors")
+    cfg, out, manifest = _start(args)
     lines = []
     for anchor in anchors:
         t0 = anchor * cfg.laser.period
@@ -331,22 +342,23 @@ def cmd_orbits(args) -> int:
               f"|tr M| = {abs(np.trace(orbit.monodromy)):.4f}")
     path = out / "orbits.txt"
     path.write_text("\n".join(lines))
-    manifest.record_output(path)
-    manifest.save()
+    _finish(manifest, [path])
     return 0
 
 
 def cmd_pair_correlation(args) -> int:
+    if not (args.bin_width > 0 and args.r_max > 0):
+        raise ConfigError(f"--bin-width and --r-max must be > 0, got "
+                          f"{args.bin_width:g} and {args.r_max:g}")
     if args.env:
-        configs, header = load_configurations(args.env)
-        out = Path(args.out) if args.out else Path(args.env).parent
-        checksum = ""
+        env, checksum = Path(args.env), ""
     else:
-        manifest = _load_records_manifest(args.records)
-        rdir = Path(args.records)
-        configs, header = load_configurations(rdir / "environment.txt")
-        out = Path(args.out) if args.out else rdir
-        checksum = manifest.checksum()
+        env = Path(args.records) / "environment.txt"
+        checksum = _load_records_manifest(args.records).checksum()
+    if not env.is_file():
+        raise MissingArtifactError(f"no environment file {env}")
+    configs, _ = load_configurations(env)
+    out = Path(args.out) if args.out else env.parent
     out.mkdir(parents=True, exist_ok=True)
     edges, mass = pair_correlation(configs, args.bin_width, args.r_max)
     centers = 0.5 * (edges[:-1] + edges[1:])

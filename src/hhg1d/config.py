@@ -12,12 +12,11 @@ the manifest records the resolved atomic-unit values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 from .ensemble import EnsembleSpec, MaskSpec
-from .model import (AtomParams, LaserParams, PerturberParams,
-                    field_from_intensity_wcm2, omega_from_wavelength_nm)
-from .sampler import StructureParams
+from .model import field_from_intensity_wcm2, omega_from_wavelength_nm
 
 
 class ConfigError(ValueError):
@@ -25,20 +24,14 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    laser: LaserParams = LaserParams()
-    atom: AtomParams = AtomParams()
-    perturber: PerturberParams = PerturberParams()
-    structure: StructureParams = StructureParams()
-    mask: MaskSpec = MaskSpec()
+class RunConfig(EnsembleSpec):
+    """An ensemble run as configured: the EnsembleSpec with the reference
+    defaults, plus the photoelectron mask, the Gabor window and where and
+    how the run executes."""
+
     n_c: int = 1000
     master_seed: int = 1
-    x_min: float = -400.0
-    x_max: float = 400.0
-    n_grid: int = 8192
-    dt: float = 0.02
-    record_stride: int = 4
-    absorber_band: float = 0.1
+    mask: MaskSpec = MaskSpec()
     gabor_window_cycles: float = 0.35
     # execution knobs: not part of the run's physical identity, so they are
     # excluded from equality and never rendered into stored configuration
@@ -46,17 +39,9 @@ class RunConfig:
     out_dir: str = field(default="out", compare=False)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-
-    def ensemble_spec(self) -> EnsembleSpec:
-        return EnsembleSpec(
-            n_c=self.n_c, master_seed=self.master_seed,
-            structure=self.structure, perturber=self.perturber,
-            laser=self.laser, atom=self.atom,
-            x_min=self.x_min, x_max=self.x_max, n_grid=self.n_grid,
-            dt=self.dt, record_stride=self.record_stride,
-            absorber_band=self.absorber_band)
 
 
 # section -> key -> (target dataclass field path, converter)
@@ -138,64 +123,47 @@ def parse_config(text: str) -> RunConfig:
             parsed = _UNIT_ALTERNATIVES[key](parsed)
         values.setdefault(section, {})[key] = parsed
 
-    kw: dict[str, dict] = {"laser": {}, "atom": {}, "perturber": {},
-                           "structure": {}, "mask": {}}
+    groups: dict[str, dict[str, object]] = {}
     top: dict[str, object] = {}
     for section, pairs in values.items():
         for key, parsed in pairs.items():
-            path, _ = _SCHEMA[section][key]
-            if "." in path:
-                group, attr = path.split(".")
-                kw[group][attr] = parsed
+            group, _, attr = _SCHEMA[section][key][0].rpartition(".")
+            if group:
+                groups.setdefault(group, {})[attr] = parsed
             else:
-                top[path] = parsed
+                top[attr] = parsed
     try:
-        return RunConfig(
-            laser=LaserParams(**kw["laser"]),
-            atom=AtomParams(**kw["atom"]),
-            perturber=PerturberParams(**kw["perturber"]),
-            structure=StructureParams(**kw["structure"]),
-            mask=MaskSpec(**kw["mask"]),
-            **top)
+        # each group starts from RunConfig's default instance of its class
+        nested = {group: replace(getattr(RunConfig, group), **kw)
+                  for group, kw in groups.items()}
+        return RunConfig(**top, **nested)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def render_config(cfg: RunConfig) -> str:
-    """Emit configuration text that parses back to an equal RunConfig."""
-    lines = [
-        "[laser]",
-        f"F_L = {cfg.laser.F_L!r}",
-        f"omega = {cfg.laser.omega_L!r}",
-        f"n_up = {cfg.laser.n_up}",
-        f"n_plateau = {cfg.laser.n_plateau}",
-        f"n_down = {cfg.laser.n_down}",
-        "[atom]",
-        f"softening = {cfg.atom.softening!r}",
-        "[environment]",
-        f"A_E = {cfg.perturber.A_E!r}",
-        f"sigma_E = {cfg.perturber.sigma_E!r}",
-        f"a = {cfg.structure.a!r}",
-        f"sigma = {cfg.structure.sigma!r}",
-        f"n_p = {cfg.structure.n_p}",
-        f"mask_radius = {cfg.mask.r0!r}",
-        f"mask_width = {cfg.mask.width!r}",
-        "[grid]",
-        f"x_min = {cfg.x_min!r}",
-        f"x_max = {cfg.x_max!r}",
-        f"n = {cfg.n_grid}",
-        f"dt = {cfg.dt!r}",
-        f"record_stride = {cfg.record_stride}",
-        f"absorber_band = {cfg.absorber_band!r}",
-        "[ensemble]",
-        f"n_c = {cfg.n_c}",
-        f"master_seed = {cfg.master_seed}",
-        "[output]",
-        f"gabor_window_cycles = {cfg.gabor_window_cycles!r}",
-    ]
+    """Emit configuration text that parses back to an equal RunConfig.
+
+    Every schema key is written except the unit alternatives and the
+    execution knobs (fields excluded from equality).
+    """
+    execution = {f.name for f in fields(RunConfig) if not f.compare}
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        for key, (path, conv) in keys.items():
+            if key in _UNIT_ALTERNATIVES or path in execution:
+                continue
+            value = attrgetter(path)(cfg)
+            lines.append(f"{key} = {value!r}" if conv is float
+                         else f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    return parse_config(text)

@@ -18,15 +18,16 @@ bitwise independent of the worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import (AtomParams, EnvironmentConfig, LaserParams,
                     PerturberParams, gradient_atom, gradient_env,
                     potential_atom, potential_env)
-from .sampler import SeededRng, StructureParams, sample_configuration
-from .tdse import Grid, PropagatorPlan, absorber_mask, ground_state, propagate
+from .sampler import StructureParams, sample_ensemble
+from .tdse import (Grid, PropagationRecord, PropagatorPlan, absorber_mask,
+                   ground_state, propagate)
 
 
 class PropagationFailure(RuntimeError):
@@ -98,18 +99,14 @@ class EnsembleSpec:
 
 
 @dataclass
-class EnsembleRecord:
-    """Aligned per-configuration series; configuration index is the last axis."""
+class EnsembleRecord(PropagationRecord):
+    """A batch propagation record of the ensemble: the configuration index
+    is the last axis of the series, and axis 1 of the (n_s, n_c, n)
+    snapshots."""
 
     spec: EnsembleSpec
     configs: list[EnvironmentConfig]
-    times: np.ndarray            # (n_t,)
-    norm: np.ndarray             # (n_t, n_c)
-    x_expect: np.ndarray         # (n_t, n_c)
-    accel: np.ndarray            # (n_t, n_c)
-    snapshot_times: np.ndarray   # (n_s,)
-    snapshots: np.ndarray        # (n_s, n_c, n)
-    ground_energy: float = 0.0
+    ground_energy: float
 
     @property
     def n_c(self) -> int:
@@ -117,7 +114,8 @@ class EnsembleRecord:
 
 
 def _propagate_block(spec: EnsembleSpec, configs: list[EnvironmentConfig],
-                     psi0: np.ndarray, first_index: int) -> EnsembleRecord:
+                     psi0: np.ndarray, e0: float,
+                     first_index: int) -> EnsembleRecord:
     """Propagate a contiguous block of configurations as one batch."""
     grid = spec.grid()
     x = grid.x
@@ -134,10 +132,8 @@ def _propagate_block(spec: EnsembleSpec, configs: list[EnvironmentConfig],
     bad = ~np.isfinite(rec.norm[-1])
     if np.any(bad):
         raise PropagationFailure(first_index + int(np.argmax(bad)))
-    return EnsembleRecord(
-        spec=spec, configs=configs, times=rec.times, norm=rec.norm,
-        x_expect=rec.x_expect, accel=rec.accel,
-        snapshot_times=rec.snapshot_times, snapshots=rec.snapshots)
+    return EnsembleRecord(**vars(rec), spec=spec, configs=configs,
+                          ground_energy=e0)
 
 
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleRecord:
@@ -147,26 +143,19 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleRecord:
     configuration: the buffer zone keeps the environment's overlap with the
     bound state negligible.  Blocks are merged in configuration order.
     """
-    configs = [sample_configuration(SeededRng(spec.master_seed, i), spec.structure)
-               for i in range(spec.n_c)]
+    configs = sample_ensemble(spec.master_seed, spec.n_c, spec.structure)
     grid = spec.grid()
     psi_g, e0 = ground_state(grid, lambda x: potential_atom(x, spec.atom))
 
     bounds = np.linspace(0, spec.n_c, min(workers, spec.n_c) + 1).astype(int)
-    blocks = [(configs[a:b], int(a)) for a, b in zip(bounds[:-1], bounds[1:])
-              if b > a]
+    blocks = [(spec, configs[a:b], psi_g, e0, int(a))
+              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if len(blocks) == 1:
-        parts = [_propagate_block(spec, blocks[0][0], psi_g, 0)]
+        parts = [_propagate_block(*blocks[0])]
     else:
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            parts = list(pool.map(_propagate_block,
-                                  [spec] * len(blocks),
-                                  [b[0] for b in blocks],
-                                  [psi_g] * len(blocks),
-                                  [b[1] for b in blocks]))
-    record = merge_records(parts)
-    record.ground_energy = e0
-    return record
+            parts = list(pool.map(_propagate_block, *zip(*blocks)))
+    return merge_records(parts)
 
 
 def ensemble_expectation(record: EnsembleRecord, observable: str) -> np.ndarray:
@@ -191,17 +180,10 @@ def merge_records(records: list[EnsembleRecord]) -> EnsembleRecord:
             raise ValueError("records have misaligned time axes")
         if r.spec.grid() != first.spec.grid():
             raise ValueError("records live on different grids")
-    return EnsembleRecord(
-        spec=first.spec,
-        configs=sum((r.configs for r in records), []),
-        times=first.times,
-        norm=np.concatenate([r.norm for r in records], axis=1),
-        x_expect=np.concatenate([r.x_expect for r in records], axis=1),
-        accel=np.concatenate([r.accel for r in records], axis=1),
-        snapshot_times=first.snapshot_times,
-        snapshots=np.concatenate([r.snapshots for r in records], axis=1),
-        ground_energy=first.ground_energy,
-    )
+    per_config = ("norm", "x_expect", "accel", "snapshots")  # axis 1: config
+    return replace(first, configs=sum((r.configs for r in records), []),
+                   **{name: np.concatenate([getattr(r, name) for r in records],
+                                           axis=1) for name in per_config})
 
 
 def purity(snapshots: np.ndarray, dx: float,

@@ -20,7 +20,9 @@ from .model import AtomParams, LaserParams, ponderomotive_energy
 from .splitting import DRIFT_COEFFS, KICK_COEFFS, KICK_TIMES
 
 MESH_PER_CYCLE = 2000   # root-bracketing resolution for return finding
-FLOW_STEP = 0.01        # default integration step (a.u.) of the exact flow
+FLOW_STEP = 0.01        # largest integration step (a.u.) of the exact flow
+NEWTON_TOL = 1e-10      # closure residual |φ(z) - z| of a periodic orbit
+NEWTON_MAX_ITER = 50
 
 
 class OrbitError(RuntimeError):
@@ -200,9 +202,9 @@ def backscatter_trajectory(t_i: float, t_s: float,
 
 
 def _drift_kick(z0, t0: float, t1: float, laser: LaserParams,
-                atom: AtomParams | None, h_target: float,
+                atom: AtomParams | None,
                 tangent: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Equal drift-kick steps of at most h_target from z0 at t0 to t1.
+    """Equal drift-kick steps of at most FLOW_STEP from z0 at t0 to t1.
 
     With `tangent` the variational equations of the same composition
     (drift: δx += a h δp; kick: δp -= b h V''(x) δx) carry the tangent map
@@ -210,7 +212,7 @@ def _drift_kick(z0, t0: float, t1: float, laser: LaserParams,
     it M stays the identity.  Returns (z(t1), M).
     """
     span = t1 - t0
-    n = max(1, int(np.ceil(abs(span) / h_target))) if span else 0
+    n = max(1, int(np.ceil(abs(span) / FLOW_STEP))) if span else 0
     h = span / max(n, 1)
     x, p = float(z0[0]), float(z0[1])
     m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
@@ -245,34 +247,32 @@ def _drift_kick(z0, t0: float, t1: float, laser: LaserParams,
 
 
 def classical_flow(z0, t0: float, t1: float, laser: LaserParams,
-                   atom: AtomParams | None,
-                   h_target: float = FLOW_STEP) -> np.ndarray:
+                   atom: AtomParams | None) -> np.ndarray:
     """Integrate ẋ = p, ṗ = -V'(x) - F_L sin(ωt) from t0 to t1.
 
     Same fourth-order drift-kick composition as the quantum engine; the
     kick time advances with the accumulated drift coefficients.  atom=None
     drops the soft-core force (field-only flow).
     """
-    return _drift_kick(z0, t0, t1, laser, atom, h_target, tangent=False)[0]
+    return _drift_kick(z0, t0, t1, laser, atom, tangent=False)[0]
 
 
-def monodromy(z0, t0: float, laser: LaserParams, atom: AtomParams | None,
-              h_target: float = FLOW_STEP,
-              period: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def monodromy(z0, t0: float, laser: LaserParams,
+              atom: AtomParams | None) -> tuple[np.ndarray, np.ndarray]:
     """One-period flow and its linearization around the trajectory.
 
     The tangent map M is the exact Jacobian of the discrete flow map (see
     `_drift_kick`).  Returns (z_T, M).
     """
-    T = laser.period if period is None else period
-    return _drift_kick(z0, t0, t0 + T, laser, atom, h_target, tangent=True)
+    return _drift_kick(z0, t0, t0 + laser.period, laser, atom, tangent=True)
 
 
-def classify(m: np.ndarray, tol: float = 1e-6) -> str:
+def classify(m: np.ndarray) -> str:
+    """Stability from |tr M|, with |tr M| within 1e-6 of 2 parabolic."""
     t = abs(np.trace(m))
-    if t > 2.0 + tol:
+    if t > 2.0 + 1e-6:
         return "hyperbolic"
-    if t < 2.0 - tol:
+    if t < 2.0 - 1e-6:
         return "elliptic"
     return "parabolic"
 
@@ -283,8 +283,8 @@ def quiver_guess(t0: float, laser: LaserParams) -> np.ndarray:
     return np.array([-(f / w**2) * np.sin(w * t0), (f / w) * np.cos(w * t0)])
 
 
-def _reversible_presearch(z, t0: float, laser: LaserParams, atom: AtomParams,
-                          h_target: float) -> np.ndarray:
+def _reversible_presearch(z, t0: float, laser: LaserParams,
+                          atom: AtomParams) -> np.ndarray:
     """Pull a far-off guess onto the reversing-symmetry line.
 
     The field is even about its extremum phases, so with the even soft-core
@@ -298,11 +298,11 @@ def _reversible_presearch(z, t0: float, laser: LaserParams, atom: AtomParams,
     w = laser.omega_L
     k = math.ceil((w * t0 - 0.5 * math.pi) / math.pi)
     t_star = (0.5 * math.pi + k * math.pi) / w
-    x0 = float(classical_flow(z, t0, t_star, laser, atom, h_target)[0])
+    x0 = float(classical_flow(z, t0, t_star, laser, atom)[0])
 
     def g(x):
         return float(classical_flow((x, 0.0), t_star, t_star + 0.5 * T, laser,
-                                    atom, h_target)[1])
+                                    atom)[1])
 
     root = None
     for half_width in (5.0, 10.0, 20.0, 40.0):
@@ -324,13 +324,11 @@ def _reversible_presearch(z, t0: float, laser: LaserParams, atom: AtomParams,
             break
     if root is None:
         return np.asarray(z, dtype=float)
-    return classical_flow((root, 0.0), t_star, t0, laser, atom, h_target)
+    return classical_flow((root, 0.0), t_star, t0, laser, atom)
 
 
 def find_periodic_orbit(guess, t0: float, laser: LaserParams,
-                        atom: AtomParams | None,
-                        tol: float = 1e-10, max_iter: int = 50,
-                        h_target: float = FLOW_STEP) -> PeriodicOrbit:
+                        atom: AtomParams | None) -> PeriodicOrbit:
     """Newton search for a fixed point of the one-period flow map.
 
     Solves (M - I) δz = -(φ(z) - z) with the monodromy M from the
@@ -342,16 +340,16 @@ def find_periodic_orbit(guess, t0: float, laser: LaserParams,
     """
     z = np.asarray(guess, dtype=float).copy()
     if atom is not None:
-        g0 = classical_flow(z, t0, t0 + laser.period, laser, atom, h_target) - z
+        g0 = classical_flow(z, t0, t0 + laser.period, laser, atom) - z
         if np.linalg.norm(g0) > 1.0:
-            z = _reversible_presearch(z, t0, laser, atom, h_target)
+            z = _reversible_presearch(z, t0, laser, atom)
     residual = np.inf
-    for _ in range(max_iter):
-        z_t, m = monodromy(z, t0, laser, atom, h_target)
+    for _ in range(NEWTON_MAX_ITER):
+        z_t, m = monodromy(z, t0, laser, atom)
         g = z_t - z
         residual = float(np.linalg.norm(g))
         jac_det = float(np.linalg.det(m - np.eye(2)))
-        if residual < tol:
+        if residual < NEWTON_TOL:
             if abs(jac_det) < 1e-9:
                 raise OrbitError(
                     "fixed point is non-isolated or parabolic "
@@ -370,19 +368,18 @@ def find_periodic_orbit(guess, t0: float, laser: LaserParams,
         lam = 1.0
         for _ in range(30):
             z_try = z + lam * delta
-            g_try = classical_flow(z_try, t0, t0 + laser.period, laser, atom,
-                                   h_target) - z_try
+            g_try = classical_flow(z_try, t0, t0 + laser.period, laser,
+                                   atom) - z_try
             if np.linalg.norm(g_try) < residual:
                 break
             lam *= 0.5
         z = z + lam * delta
-    raise OrbitError(f"Newton failed to reach {tol} in {max_iter} iterations",
-                     residual)
+    raise OrbitError(f"Newton failed to reach {NEWTON_TOL} in "
+                     f"{NEWTON_MAX_ITER} iterations", residual)
 
 
 def symmetry_partner(orbit: PeriodicOrbit, laser: LaserParams,
-                     atom: AtomParams | None,
-                     h_target: float = FLOW_STEP) -> PeriodicOrbit:
+                     atom: AtomParams | None) -> PeriodicOrbit:
     """Orbit mapped through x → -x, p → -p, t0 → t0 + T_L/2.
 
     The even potential and the half-period antisymmetry of the field
@@ -391,7 +388,7 @@ def symmetry_partner(orbit: PeriodicOrbit, laser: LaserParams,
     """
     t0 = orbit.t0 + 0.5 * laser.period
     z = -orbit.z_star
-    z_t, m = monodromy(z, t0, laser, atom, h_target)
+    z_t, m = monodromy(z, t0, laser, atom)
     residual = float(np.linalg.norm(z_t - z))
     if residual > 10.0 * max(orbit.residual, 1e-10):
         raise OrbitError(
@@ -403,8 +400,7 @@ def symmetry_partner(orbit: PeriodicOrbit, laser: LaserParams,
 
 def overlay_orbit(orbit: PeriodicOrbit, laser: LaserParams,
                   atom: AtomParams | None, t_start: float, t_end: float,
-                  n_per_period: int = 256,
-                  h_target: float = FLOW_STEP) -> tuple[np.ndarray, np.ndarray]:
+                  n_per_period: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """x(t) of the orbit extended periodically across [t_start, t_end].
 
     One period is integrated densely from the anchor; other times reuse it
@@ -417,7 +413,7 @@ def overlay_orbit(orbit: PeriodicOrbit, laser: LaserParams,
     x_period[0] = z[0]
     for k in range(1, n_per_period):
         z = classical_flow(z, orbit.t0 + phases[k - 1], orbit.t0 + phases[k],
-                           laser, atom, h_target)
+                           laser, atom)
         x_period[k] = z[0]
     times = np.arange(t_start, t_end, T / n_per_period)
     rel = np.mod(times - orbit.t0, T)

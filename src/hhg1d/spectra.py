@@ -144,38 +144,33 @@ def parity_contrast(spec: Spectrum, band: tuple[float, float]) -> float:
                  / harmonic_peaks(spec, odd).mean())
 
 
-def plateau_statistics(spec: Spectrum, band: tuple[float, float] = (21, 227),
-                       odd_only: bool = True) -> float:
-    """Mean peak magnitude over the integer harmonic orders in the band.
-
-    Odd orders only by default (the ensemble spectrum carries no even
-    lines); pass odd_only=False for single-configuration spectra.
-    """
+def plateau_statistics(spec: Spectrum,
+                       band: tuple[float, float] = (21, 227)) -> float:
+    """Mean peak magnitude over the odd harmonic orders in the band (the
+    ensemble spectrum carries no even lines)."""
     lo, hi = band
     orders = np.arange(int(np.ceil(lo)), int(np.floor(hi)) + 1)
-    if odd_only:
-        orders = orders[orders % 2 == 1]
+    orders = orders[orders % 2 == 1]
     if orders.size == 0:
         raise ValueError("band contains no harmonic orders")
     return float(harmonic_peaks(spec, orders).mean())
 
 
-def find_cutoff(spec: Spectrum, search_from: float,
-                drop_decades: float = 1.0, span_orders: float = 4.0,
-                smooth_orders: float = 1.0) -> float:
+def find_cutoff(spec: Spectrum, search_from: float) -> float:
     """Locate the plateau knee: the first order beyond `search_from` where
-    the smoothed log-magnitude drops by `drop_decades` within `span_orders`.
+    the log-magnitude, smoothed over one order, drops by a decade within
+    four orders.
     """
     floor = spec.magnitude[spec.magnitude > 0].min() * 1e-3
     logmag = np.log10(np.maximum(spec.magnitude, floor))
     d_order = spec.orders[1] - spec.orders[0]
-    width = max(1, int(round(smooth_orders / d_order)))
+    width = max(1, int(round(1.0 / d_order)))
     kernel = np.ones(width) / width
     smooth = np.convolve(logmag, kernel, mode="same")
-    span = int(round(span_orders / d_order))
+    span = int(round(4.0 / d_order))
     start = np.searchsorted(spec.orders, search_from)
     for i in range(start, spec.orders.size - span):
-        if smooth[i] - smooth[i + span] >= drop_decades:
+        if smooth[i] - smooth[i + span] >= 1.0:
             return float(spec.orders[i])
     raise ValueError("no cutoff knee found beyond the search start")
 

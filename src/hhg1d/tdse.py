@@ -76,9 +76,8 @@ def overlap(psi_a: np.ndarray, psi_b: np.ndarray, dx: float):
     return np.sum(np.conj(psi_a) * psi_b, axis=-1) * dx
 
 
-def absorber_mask(grid: Grid, band_fraction: float = 0.1,
-                  exponent: float = 0.125) -> np.ndarray:
-    """Real mask, 1 in the interior, cos^exponent decay to 0 over each edge band."""
+def absorber_mask(grid: Grid, band_fraction: float = 0.1) -> np.ndarray:
+    """Real mask, 1 in the interior, cos^(1/8) decay to 0 over each edge band."""
     if not 0.0 < band_fraction < 0.5:
         raise ValueError("band_fraction must lie in (0, 0.5)")
     width = band_fraction * (grid.x_max - grid.x_min)
@@ -89,7 +88,7 @@ def absorber_mask(grid: Grid, band_fraction: float = 0.1,
     s = np.where(grid.x < left, (left - grid.x) / width, s)
     s = np.where(grid.x > right, (grid.x - right) / width, s)
     band = (s > 0) & (s < 1)
-    mask[band] = np.cos(0.5 * np.pi * s[band]) ** exponent
+    mask[band] = np.cos(0.5 * np.pi * s[band]) ** 0.125
     mask[s >= 1] = 0.0
     return mask
 
@@ -243,8 +242,6 @@ def rayleigh_energy(psi: np.ndarray, grid: Grid, potential: np.ndarray):
 
 
 def ground_state(grid: Grid, potential: Callable | np.ndarray,
-                 dtau_stages: Sequence[float] = (0.5, 0.1, 0.02, 0.005),
-                 drift_tol: float = 1e-10,
                  max_iter: int = 20000) -> tuple[np.ndarray, float]:
     """Lowest eigenstate by imaginary-time split-operator propagation.
 
@@ -252,11 +249,11 @@ def ground_state(grid: Grid, potential: Callable | np.ndarray,
     in imaginary time every factor is a pure decay, so the iteration is
     stable on arbitrarily stiff grids (the fourth-order composition is not:
     its negative coefficients amplify roundoff through the potential kicks).
-    Each stage runs its dτ until the Rayleigh energy drifts by less than
-    `drift_tol` per step; shrinking dτ between stages removes the splitting
-    bias, and the Rayleigh quotient is variational so the residual energy
-    error is quadratic in the state error.  Returns (ψ, E): the normalized
-    amplitudes on the grid and the energy.
+    Each stage (dτ = 0.5, 0.1, 0.02, 0.005) runs until the Rayleigh energy
+    drifts by less than 1e-10 per step; shrinking dτ between stages removes
+    the splitting bias, and the Rayleigh quotient is variational so the
+    residual energy error is quadratic in the state error.  Returns (ψ, E):
+    the normalized amplitudes on the grid and the energy.
     """
     v = potential(grid.x) if callable(potential) else np.asarray(potential)
     if v.shape != (grid.n,):
@@ -265,7 +262,7 @@ def ground_state(grid: Grid, potential: Callable | np.ndarray,
     psi /= np.sqrt(state_norm(psi, grid.dx))
     energy = float(rayleigh_energy(psi, grid, v))
     total_iter = 0
-    for dtau in dtau_stages:
+    for dtau in (0.5, 0.1, 0.02, 0.005):
         kin_decay = np.exp(-0.5 * dtau * grid.p**2)
         pot_half = np.exp(-0.5 * dtau * v)
         while True:
@@ -275,7 +272,7 @@ def ground_state(grid: Grid, potential: Callable | np.ndarray,
             drift = abs(new_energy - energy)
             energy = new_energy
             total_iter += 1
-            if drift < drift_tol:
+            if drift < 1e-10:
                 break
             if total_iter >= max_iter:
                 raise ConvergenceError(

@@ -72,6 +72,27 @@ BAD_INPUTS = {
                             "--member", "2"],
     "gabor_member_negative": ["gabor", "--records", "{records}",
                               "--member", "-1"],
+    "gabor_d_order_0": ["gabor", "--records", "{records}", "--d-order", "0"],
+    "gabor_d_order_negative": ["gabor", "--records", "{records}",
+                               "--d-order", "-0.5"],
+    "gabor_max_order_negative": ["gabor", "--records", "{records}",
+                                 "--max-order", "-1"],
+    "density_map_x_range_between_points": ["density-map", "--records",
+                                           "{records}", "--x-lo", "0.1",
+                                           "--x-hi", "0.2"],
+    "sfa_ell_list_not_numbers": ["sfa", "--ell-list", "0,x"],
+    "sfa_ell_list_negative": ["sfa", "--ell-list", "0,-5"],
+    "sfa_horizon_0": ["sfa", "--horizon", "0"],
+    "sfa_horizon_negative": ["sfa", "--horizon", "-1"],
+    "sfa_launches_0": ["sfa", "--launches", "0"],
+    "orbits_anchors_not_numbers": ["orbits", "--anchors", "x"],
+    "orbits_anchors_trailing_comma": ["orbits", "--anchors", "2.0,"],
+    "pair_correlation_bin_width_0": ["pair-correlation", "--records",
+                                     "{records}", "--bin-width", "0"],
+    "pair_correlation_r_max_0": ["pair-correlation", "--records",
+                                 "{records}", "--r-max", "0"],
+    "run_n_c_0": ["run", "--config", "{cfg_n_c_0}"],
+    "sample_env_n_c_0": ["sample-env", "--config", "{cfg_n_c_0}"],
 }
 
 
@@ -79,14 +100,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_bad_input_is_config_error(self, case, tiny_records, tmp_path,
                                        capsys):
-        cfg_workers_0 = tmp_path / "workers0.cfg"
-        cfg_workers_0.write_text(TINY_CONFIG + "workers = 0\n")
         places = {"cfg": tiny_records / "tiny.cfg",
-                  "cfg_workers_0": cfg_workers_0,
                   "records": tiny_records / "records"}
+        for key in ("workers", "n_c"):
+            places[f"cfg_{key}_0"] = tmp_path / f"{key}0.cfg"
+            places[f"cfg_{key}_0"].write_text(TINY_CONFIG + f"{key} = 0\n")
         argv = [a.format(**places) for a in BAD_INPUTS[case]]
-        if argv[0] == "run":
-            argv += ["--out", str(tmp_path / "out")]
+        argv += ["--out", str(tmp_path / "out")]
         before = tree_digest(tiny_records / "records", skip=())
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
@@ -114,6 +134,22 @@ class TestExitCodes:
     def test_missing_artifact_is_3(self, tmp_path):
         rc = main(["spectrum", "--records", str(tmp_path / "nothing")])
         assert rc == 3
+
+    def test_missing_environment_is_3(self, tmp_path, capsys):
+        rc = main(["pair-correlation", "--env", str(tmp_path / "env.txt"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("missing artifact: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_is_2_and_named(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        rc = main(["ground-state", "--config", str(missing),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(missing) in err
+        assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_is_4(self, tmp_path, monkeypatch):
         from hhg1d.semiclassics import OrbitError

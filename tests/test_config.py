@@ -3,6 +3,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhg1d.config import ConfigError, RunConfig, parse_config, render_config
+from hhg1d.ensemble import EnsembleSpec
+from hhg1d.tdse import Grid
+
+DEFAULT_TEXT = """\
+[laser]
+F_L = 0.15
+omega = 0.044
+n_up = 2
+n_plateau = 11
+n_down = 2
+[atom]
+softening = 0.4837
+[environment]
+A_E = 0.8
+sigma_E = 0.5
+a = 10.0
+sigma = 1.0
+n_p = 38
+mask_radius = 5.0
+mask_width = 2.0
+[grid]
+x_min = -400.0
+x_max = 400.0
+n = 8192
+dt = 0.02
+record_stride = 4
+absorber_band = 0.1
+[ensemble]
+n_c = 1000
+master_seed = 1
+[output]
+gabor_window_cycles = 0.35
+"""
 
 
 class TestDefaults:
@@ -20,6 +53,10 @@ class TestDefaults:
         assert cfg.n_c == 1000
         assert cfg.mask.r0 == 5.0
         assert cfg.gabor_window_cycles == 0.35
+
+    def test_default_rendering_is_pinned(self):
+        # the checksum of this text is stamped into every CSV header
+        assert render_config(RunConfig()) == DEFAULT_TEXT
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\n[laser]\nF_L = 0.2  # inline\n")
@@ -97,7 +134,10 @@ class TestRoundTrip:
 
     def test_ensemble_spec_carries_parameters(self):
         cfg = parse_config("[ensemble]\nn_c = 5\nmaster_seed = 3\n"
-                           "[grid]\nn = 256\n")
-        spec = cfg.ensemble_spec()
-        assert spec.n_c == 5 and spec.master_seed == 3
-        assert spec.n_grid == 256
+                           "[grid]\nn = 256\ndt = 0.05\n"
+                           "[environment]\nA_E = 0.25\n")
+        assert isinstance(cfg, EnsembleSpec)
+        assert cfg.n_c == 5 and cfg.master_seed == 3
+        assert cfg.n_grid == 256 and cfg.dt == 0.05
+        assert cfg.perturber.A_E == 0.25
+        assert cfg.grid() == Grid(-400.0, 400.0, 256)

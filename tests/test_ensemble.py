@@ -207,7 +207,7 @@ class TestFailureReporting:
                    for i in range(2)]
         poisoned = np.full(spec.grid().n, np.nan, dtype=complex)
         with pytest.raises(PropagationFailure) as exc:
-            _propagate_block(spec, configs, poisoned, first_index=5)
+            _propagate_block(spec, configs, poisoned, e0=0.0, first_index=5)
         assert exc.value.config_index == 5
 
 

@@ -111,7 +111,7 @@ class TestPeaksAndParity:
     def test_flat_comb_mean(self):
         t, d = tone_series([(q, 1.0) for q in (11, 13, 15, 17, 19)])
         spec = hhg_spectrum(t, d, LASER)
-        mean = plateau_statistics(spec, (11, 19), odd_only=True)
+        mean = plateau_statistics(spec, (11, 19))
         peaks = harmonic_peaks(spec, [11, 13, 15, 17, 19])
         assert mean == pytest.approx(peaks.mean())
         assert peaks.std() / peaks.mean() < 1e-6
