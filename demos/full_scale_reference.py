@@ -20,8 +20,8 @@ import numpy as np
 
 from hhg1d import (AtomParams, EnsembleSpec, LaserParams, PerturberParams,
                    StructureParams, default_perturber_count,
-                   ensemble_expectation, harmonic_peaks, hhg_spectrum,
-                   parity_contrast, plateau_statistics, run_ensemble)
+                   harmonic_peaks, hhg_spectrum, parity_contrast,
+                   plateau_statistics, run_ensemble)
 
 N_CONFIGS = 32
 laser = LaserParams(F_L=0.15, omega_L=0.044, n_up=2, n_plateau=11, n_down=2)
@@ -41,10 +41,9 @@ liquid = run_ensemble(EnsembleSpec(n_c=N_CONFIGS,
                                    perturber=PerturberParams(), **base),
                       workers=2)
 
-spec_gas = hhg_spectrum(gas.times, ensemble_expectation(gas, "accel"), laser)
+spec_gas = hhg_spectrum(gas.times, gas.accel.mean(axis=1), laser)
 spec_one = hhg_spectrum(liquid.times, liquid.accel[:, 0], laser)
-spec_avg = hhg_spectrum(liquid.times,
-                        ensemble_expectation(liquid, "accel"), laser)
+spec_avg = hhg_spectrum(liquid.times, liquid.accel.mean(axis=1), laser)
 
 band = (21, 227)
 g = plateau_statistics(spec_gas, band)

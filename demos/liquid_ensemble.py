@@ -11,8 +11,8 @@ symmetric (odd-dominated) comb and lowers the plateau.
 import numpy as np
 
 from hhg1d import (AtomParams, EnsembleSpec, LaserParams, PerturberParams,
-                   StructureParams, ensemble_expectation, hhg_spectrum,
-                   parity_contrast, plateau_statistics, run_ensemble)
+                   StructureParams, hhg_spectrum, parity_contrast,
+                   plateau_statistics, run_ensemble)
 
 N_CONFIGS = 16
 laser = LaserParams(F_L=0.075, omega_L=0.057, n_up=2, n_plateau=4, n_down=2)
@@ -28,10 +28,9 @@ liquid = run_ensemble(EnsembleSpec(n_c=N_CONFIGS,
                                    perturber=PerturberParams(), **base),
                       workers=2)
 
-spec_gas = hhg_spectrum(gas.times, ensemble_expectation(gas, "accel"), laser)
+spec_gas = hhg_spectrum(gas.times, gas.accel.mean(axis=1), laser)
 spec_one = hhg_spectrum(liquid.times, liquid.accel[:, 0], laser)
-spec_avg = hhg_spectrum(liquid.times,
-                        ensemble_expectation(liquid, "accel"), laser)
+spec_avg = hhg_spectrum(liquid.times, liquid.accel.mean(axis=1), laser)
 
 band = (15, 35)
 print(f"plateau band {band}:")

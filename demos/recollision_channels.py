@@ -14,7 +14,7 @@ Three channels are scanned:
 
 import numpy as np
 
-from hhg1d import LaserParams, backscatter_trajectory, find_returns, \
+from hhg1d import BackscatterTrajectory, LaserParams, find_returns, \
     max_return_energy, ponderomotive_energy
 
 laser = LaserParams(F_L=0.15, omega_L=0.044)
@@ -37,9 +37,9 @@ print(f"linear growth: {slope:.4f} a.u. per a.u. of distance "
 best = 0.0
 for t_i in np.linspace(0.0, 0.5 * T, 60):
     for t_s in np.linspace(t_i + 0.05 * T, t_i + T, 60):
-        traj = backscatter_trajectory(t_i, t_s, laser)
-        for ev in traj.origin_returns(horizon=1.5, mesh_per_cycle=500):
-            best = max(best, ev.e_r)
+        traj = BackscatterTrajectory(t_i, t_s, laser)
+        _, e_r = traj.origin_returns(horizon=1.5, mesh_per_cycle=500)
+        best = max(best, e_r.max(initial=0.0))
 print(f"best backscattered origin return: {best / up:.2f} U_p")
 
 try:
@@ -50,12 +50,9 @@ except ImportError:
 fig, ax = plt.subplots(figsize=(6.5, 4))
 colors = plt.cm.Greys(np.linspace(0.95, 0.35, len(ells)))
 for l, c in zip(ells, colors):
-    events = []
-    for t_i in np.linspace(2 * T, 3 * T, 400, endpoint=False):
-        events += find_returns(t_i, l, laser, horizon=1.5,
-                               mesh_per_cycle=500)
-    t_r = np.array([ev.t_r for ev in events])
-    e_r = np.array([ev.e_r for ev in events])
+    returns = [find_returns(t_i, l, laser, horizon=1.5, mesh_per_cycle=500)
+               for t_i in np.linspace(2 * T, 3 * T, 400, endpoint=False)]
+    t_r, e_r, _ = map(np.concatenate, zip(*returns))
     ax.plot(t_r / T, e_r / up, ".", ms=1.5, color=c, label=f"|x| = {l:.0f}")
 ax.set_xlabel("arrival time (cycles)")
 ax.set_ylabel("arrival kinetic energy (U_p)")

@@ -32,12 +32,10 @@ print(f"map: {gmap.taus.size} window centres x {gmap.omegas.size} "
       f"frequencies")
 
 # classical overlay: arrival energies of field-only trajectories
-overlay_t, overlay_q = [], []
-for t_i in np.linspace(2 * T, 4 * T, 600, endpoint=False):
-    for ev in find_returns(t_i, 0.0, laser, horizon=1.5,
-                           mesh_per_cycle=500):
-        overlay_t.append(ev.t_r / T)
-        overlay_q.append((ev.e_r - e0) / laser.omega_L)
+returns = [find_returns(t_i, 0.0, laser, horizon=1.5, mesh_per_cycle=500)
+           for t_i in np.linspace(2 * T, 4 * T, 600, endpoint=False)]
+t_r, e_r, _ = map(np.concatenate, zip(*returns))
+overlay_t, overlay_q = t_r / T, (e_r - e0) / laser.omega_L
 
 try:
     import matplotlib.pyplot as plt

@@ -21,9 +21,9 @@ exposes each pipeline stage as a subcommand.
 __version__ = "0.1.0"
 
 from .ensemble import (EnsembleRecord, EnsembleSpec, MaskSpec,
-                       density_matrix_map, ensemble_expectation,
-                       merge_records, probability_density_map, purity,
-                       purity_series, run_ensemble)
+                       density_matrix_map, merge_records,
+                       probability_density_map, purity, purity_series,
+                       run_ensemble)
 from .model import (AtomParams, EnvironmentConfig, LaserParams,
                     PerturberParams, envelope, field_at, gradient_atom,
                     gradient_env, ponderomotive_energy, potential_atom,
@@ -31,7 +31,7 @@ from .model import (AtomParams, EnvironmentConfig, LaserParams,
 from .sampler import (SeededRng, StructureParams, default_perturber_count,
                       pair_correlation, sample_configuration,
                       sample_ensemble, sample_gap)
-from .semiclassics import (PeriodicOrbit, SfaEvent, backscatter_trajectory,
+from .semiclassics import (BackscatterTrajectory, PeriodicOrbit,
                            classical_flow, find_periodic_orbit, find_returns,
                            max_return_energy, monodromy, overlay_orbit,
                            quiver_guess, sfa_momentum, sfa_position,
@@ -43,12 +43,12 @@ from .tdse import (Grid, PropagationRecord, PropagatorPlan, absorber_mask,
                    fd_eigenstates, ground_state, propagate, step)
 
 __all__ = [
-    "AtomParams", "EnsembleRecord", "EnsembleSpec", "EnvironmentConfig",
-    "GaborMap", "Grid", "LaserParams", "MaskSpec", "PeriodicOrbit",
-    "PerturberParams", "PropagationRecord", "PropagatorPlan", "PurityFit",
-    "SeededRng", "SfaEvent", "Spectrum", "StructureParams", "absorber_mask",
-    "backscatter_trajectory", "classical_flow", "default_perturber_count",
-    "density_matrix_map", "ensemble_expectation", "envelope",
+    "AtomParams", "BackscatterTrajectory", "EnsembleRecord", "EnsembleSpec",
+    "EnvironmentConfig", "GaborMap", "Grid", "LaserParams", "MaskSpec",
+    "PeriodicOrbit", "PerturberParams", "PropagationRecord",
+    "PropagatorPlan", "PurityFit", "SeededRng", "Spectrum",
+    "StructureParams", "absorber_mask", "classical_flow",
+    "default_perturber_count", "density_matrix_map", "envelope",
     "fd_eigenstates", "field_at", "find_cutoff", "find_periodic_orbit",
     "find_returns", "fit_purity_decay", "gabor", "gradient_atom",
     "gradient_env", "ground_state", "harmonic_peaks", "hhg_spectrum",

@@ -31,8 +31,7 @@ from . import __version__
 from .config import (ConfigError, RunConfig, load_config, parse_config,
                      render_config)
 from .ensemble import (PropagationFailure, density_matrix_map,
-                       ensemble_expectation, probability_density_map,
-                       purity_series, run_ensemble)
+                       probability_density_map, purity_series, run_ensemble)
 from .model import potential_atom
 from .sampler import pair_correlation, sample_ensemble, save_configurations, \
     load_configurations
@@ -56,7 +55,11 @@ def _start(args) -> tuple[RunConfig, Path, Manifest]:
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {"master_seed": args.seed, "workers": args.workers,
                  "out_dir": args.out}
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    try:
+        cfg = replace(cfg, **{k: v for k, v in overrides.items()
+                              if v is not None})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out, Manifest(out, render_config(cfg), cfg.master_seed)
@@ -114,29 +117,31 @@ def cmd_sample_env(args) -> int:
 def cmd_run(args) -> int:
     cfg, out, manifest = _start(args)
     record = run_ensemble(cfg, workers=cfg.workers)
-    (out / "config.txt").write_text(render_config(cfg))
-    save_configurations(out / "environment.txt", record.configs,
-                        cfg.structure, cfg.master_seed)
-    write_csv(out / "mean_series.csv",
-              {"t": record.times,
-               "norm": ensemble_expectation(record, "norm"),
-               "x_expect": ensemble_expectation(record, "x_expect"),
-               "accel": ensemble_expectation(record, "accel")},
+    config_txt, env_txt, mean_csv = paths = [
+        out / "config.txt", out / "environment.txt", out / "mean_series.csv"]
+    config_txt.write_text(render_config(cfg))
+    save_configurations(env_txt, record.configs, cfg.structure,
+                        cfg.master_seed)
+    write_csv(mean_csv,
+              {"t": record.times, "norm": record.norm.mean(axis=1),
+               "x_expect": record.x_expect.mean(axis=1),
+               "accel": record.accel.mean(axis=1)},
               "run", manifest.checksum(),
               extra_comments=(f"ground_energy_au: {record.ground_energy:.12f}",
                               f"n_c: {record.n_c}"))
     config_axis = np.arange(record.n_c, dtype=float)
     for name in ("accel", "norm", "x_expect"):
-        write_map(out / f"{name}_configs.bin", record.times, config_axis,
+        paths.append(out / f"{name}_configs.bin")
+        write_map(paths[-1], record.times, config_axis,
                   getattr(record, name), "t", "config")
     snap_dir = out / "snapshots"
     snap_dir.mkdir(exist_ok=True)
     for i in range(record.n_c):
-        write_wavefunctions(snap_dir / f"config_{i:04d}.bin",
-                            cfg.x_min, cfg.x_max, record.snapshot_times,
-                            record.snapshots[:, i, :])
-    _finish(manifest, [p for p in sorted(out.rglob("*"))
-                       if p.is_file() and p.name != "manifest.json"])
+        paths.append(snap_dir / f"config_{i:04d}.bin")
+        write_wavefunctions(paths[-1], cfg.x_min, cfg.x_max,
+                            record.snapshot_times, record.snapshots[:, i, :])
+    # only what this run wrote: --out may hold files of an earlier run
+    _finish(manifest, sorted(paths))
     print(f"ensemble of {record.n_c} configurations stored in {out}")
     return 0
 
@@ -291,17 +296,15 @@ def cmd_sfa(args) -> int:
     cfg, out, manifest = _start(args)
     laser = cfg.laser
     emax, paths = [], []
+    launches = np.linspace(0.0, laser.period, args.launches, endpoint=False)
     for ell in ells:
-        cols = {"t_i": [], "t_r": [], "e_r": [], "side": []}
-        for t_i in np.linspace(0.0, laser.period, args.launches,
-                               endpoint=False):
-            for ev in find_returns(t_i, ell, laser, horizon=args.horizon):
-                cols["t_i"].append(ev.t_i)
-                cols["t_r"].append(ev.t_r)
-                cols["e_r"].append(ev.e_r)
-                cols["side"].append(float(ev.side))
+        returns = [find_returns(t_i, ell, laser, horizon=args.horizon)
+                   for t_i in launches]
+        t_r, e_r, side = map(np.concatenate, zip(*returns))
+        t_i = np.repeat(launches, [r[0].size for r in returns])
         path = out / f"sfa_returns_ell{ell:g}.csv"
-        write_csv(path, {k: np.array(v) for k, v in cols.items()},
+        write_csv(path, {"t_i": t_i, "t_r": t_r, "e_r": e_r,
+                         "side": side.astype(float)},
                   "sfa", manifest.checksum(),
                   extra_comments=(f"ell_au: {ell}",))
         paths.append(path)

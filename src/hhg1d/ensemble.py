@@ -83,6 +83,9 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.n_c < 1:
             raise ValueError("n_c must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, "
+                             f"got {self.master_seed}")
         if self.probe_times is not None:
             end = self.laser.duration
             if any(t < 0 or t > end for t in self.probe_times):
@@ -158,12 +161,6 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleRecord:
     return merge_records(parts)
 
 
-def ensemble_expectation(record: EnsembleRecord, observable: str) -> np.ndarray:
-    """Unweighted mean over configurations of one recorded series."""
-    series = getattr(record, observable)
-    return series.mean(axis=1)
-
-
 def merge_records(records: list[EnsembleRecord]) -> EnsembleRecord:
     """Concatenate ensemble records along the configuration axis.
 
@@ -225,13 +222,11 @@ def purity_series(times: np.ndarray, snapshots: np.ndarray, grid: Grid,
 
 @dataclass
 class SpatialMap:
-    """2D field over labelled axes (time × position, or position × position)."""
+    """2D field over two axes (time × position, or position × position)."""
 
     row_axis: np.ndarray
     col_axis: np.ndarray
     values: np.ndarray
-    row_label: str = ""
-    col_label: str = ""
 
 
 def density_matrix_map(snapshots: np.ndarray, grid: Grid,
@@ -254,11 +249,11 @@ def density_matrix_map(snapshots: np.ndarray, grid: Grid,
     if mask is not None:
         sub = sub * mask.values(grid.x[idx])
     rho = (sub.T @ sub.conj()) / a.shape[0]
-    return SpatialMap(grid.x[idx], grid.x[idx], np.abs(rho) ** 2, "x", "x'")
+    return SpatialMap(grid.x[idx], grid.x[idx], np.abs(rho) ** 2)
 
 
 def probability_density_map(times: np.ndarray, snapshots: np.ndarray,
                             grid: Grid) -> SpatialMap:
     """Ensemble-averaged |ψ(x, t)|² of (n_s, n_c, n) snapshots at `times`."""
     dens = np.mean(np.abs(snapshots) ** 2, axis=1)
-    return SpatialMap(times, grid.x, dens, "t", "x")
+    return SpatialMap(times, grid.x, dens)

@@ -145,12 +145,6 @@ def gradient_atom(x, atom: AtomParams):
     return x * (x * x + atom.softening) ** -1.5
 
 
-def curvature_atom(x, atom: AtomParams):
-    """d²V/dx² = (α - 2x²)(x² + α)^(-5/2), used by linearized dynamics."""
-    x = np.asarray(x, dtype=float)
-    return (atom.softening - 2.0 * x * x) * (x * x + atom.softening) ** -2.5
-
-
 def potential_env(x, config: EnvironmentConfig, pert: PerturberParams):
     """Sum of identical Gaussian wells centred at the scatterer positions."""
     x = np.asarray(x, dtype=float)

@@ -20,6 +20,7 @@ from .model import AtomParams, LaserParams, ponderomotive_energy
 from .splitting import DRIFT_COEFFS, KICK_COEFFS, KICK_TIMES
 
 MESH_PER_CYCLE = 2000   # root-bracketing resolution for return finding
+ROOT_TOL = 1e-10        # bracket width (a.u.) at which bisection stops
 FLOW_STEP = 0.01        # largest integration step (a.u.) of the exact flow
 NEWTON_TOL = 1e-10      # closure residual |φ(z) - z| of a periodic orbit
 NEWTON_MAX_ITER = 50
@@ -34,25 +35,6 @@ class OrbitError(RuntimeError):
 
 
 @dataclass
-class SfaEvent:
-    """One recollision: launch at t_i, optional momentum reversal at t_s,
-    arrival at |x| = ell with laser-only kinetic energy e_r."""
-
-    t_i: float
-    t_r: float
-    e_r: float
-    ell: float = 0.0
-    side: int = 0            # sign of x(t_r)
-    t_s: float | None = None
-
-    def __post_init__(self):
-        if self.e_r < -1e-12:
-            raise ValueError("return energy cannot be negative")
-        if self.t_r < self.t_i:
-            raise ValueError("return precedes ionization")
-
-
-@dataclass
 class PeriodicOrbit:
     """Fixed point of the one-period flow map with its linearization."""
 
@@ -63,19 +45,33 @@ class PeriodicOrbit:
     residual: float
 
 
-def sfa_position(t, t_i: float, laser: LaserParams):
-    """Field-only trajectory launched from x = 0, p = 0 at t_i."""
+def _field_only_x(t, t0: float, x0: float, p0: float, laser: LaserParams):
+    """Position on the field-only path through (x0, p0) at t0.
+
+    x0 is added last: `find_returns` searches x(t) - target with
+    x0 = -target, at no extra array operation.
+    """
     w, f = laser.omega_L, laser.F_L
     t = np.asarray(t, dtype=float)
-    return (-(f / w) * np.cos(w * t_i) * (t - t_i)
-            + (f / w**2) * (np.sin(w * t) - np.sin(w * t_i)))
+    return ((p0 - (f / w) * np.cos(w * t0)) * (t - t0)
+            + (f / w**2) * (np.sin(w * t) - np.sin(w * t0)) + x0)
+
+
+def _field_only_p(t, t0: float, p0: float, laser: LaserParams):
+    """Momentum on the field-only path with p(t0) = p0."""
+    w, f = laser.omega_L, laser.F_L
+    t = np.asarray(t, dtype=float)
+    return p0 + (f / w) * (np.cos(w * t) - np.cos(w * t0))
+
+
+def sfa_position(t, t_i: float, laser: LaserParams):
+    """Field-only trajectory launched from x = 0, p = 0 at t_i."""
+    return _field_only_x(t, t_i, 0.0, 0.0, laser)
 
 
 def sfa_momentum(t, t_i: float, laser: LaserParams):
     """Momentum of the field-only trajectory, (F_L/ω)(cos ωt - cos ωt_i)."""
-    w, f = laser.omega_L, laser.F_L
-    t = np.asarray(t, dtype=float)
-    return (f / w) * (np.cos(w * t) - np.cos(w * t_i))
+    return _field_only_p(t, t_i, 0.0, laser)
 
 
 def return_energy(t_r, t_i: float, laser: LaserParams):
@@ -86,20 +82,23 @@ def return_energy(t_r, t_i: float, laser: LaserParams):
     return 2.0 * up * (np.cos(w * t_r) - np.cos(w * t_i)) ** 2
 
 
-def _bracket_roots(fn, t_lo: float, t_hi: float, n_mesh: int,
-                   tol: float = 1e-10) -> np.ndarray:
-    """All sign-change roots of fn on (t_lo, t_hi], by mesh + bisection.
+def _bracket_roots(fn, t_from: float, horizon: float, mesh_per_cycle: int,
+                   laser: LaserParams) -> np.ndarray:
+    """All sign-change roots of fn(t) within `horizon` cycles after t_from,
+    excluding t_from itself, by mesh + bisection.
 
     Bisection is vectorized over the brackets and runs until every
-    interval is narrower than tol.
+    interval is narrower than ROOT_TOL.
     """
-    t = np.linspace(t_lo, t_hi, n_mesh + 1)
+    n_mesh = int(round(mesh_per_cycle * horizon))
+    span = horizon * laser.period
+    t = np.linspace(t_from + span / n_mesh, t_from + span, n_mesh + 1)
     v = fn(t)
     flip = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)
     exact = np.flatnonzero(v[1:] == 0.0)
     lo, hi = t[flip], t[flip + 1]
     v_lo = v[flip]
-    while lo.size and np.max(hi - lo) > tol:
+    while lo.size and np.max(hi - lo) > ROOT_TOL:
         mid = 0.5 * (lo + hi)
         v_mid = fn(mid)
         left = np.sign(v_lo) * np.sign(v_mid) < 0
@@ -111,44 +110,40 @@ def _bracket_roots(fn, t_lo: float, t_hi: float, n_mesh: int,
 
 
 def find_returns(t_i: float, ell: float, laser: LaserParams,
-                 horizon: float = 1.5,
-                 mesh_per_cycle: int = MESH_PER_CYCLE) -> list[SfaEvent]:
+                 horizon: float = 1.5, mesh_per_cycle: int = MESH_PER_CYCLE
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All arrivals |x(t_r)| = ell within `horizon` cycles after launch.
 
-    Both sides ±ell are reported, labelled by `side`.  Empty when the
-    trajectory never reaches the requested distance.
+    Returns (t_r, e_r, side) in arrival order: the arrival times, the
+    laser-only kinetic energies there, and the sign of x(t_r) (0 for
+    ell = 0).  Empty when the trajectory never reaches the distance.
     """
     if ell < 0:
         raise ValueError("return distance must be nonnegative")
-    T = laser.period
-    n_mesh = int(round(mesh_per_cycle * horizon))
-    t_lo = t_i + horizon * T / n_mesh
-    t_hi = t_i + horizon * T
-    events = []
     targets = [0.0] if ell == 0.0 else [ell, -ell]
-    for target in targets:
-        roots = _bracket_roots(lambda t: sfa_position(t, t_i, laser) - target,
-                               t_lo, t_hi, n_mesh)
-        for t_r in roots:
-            events.append(SfaEvent(
-                t_i=t_i, t_r=float(t_r),
-                e_r=float(return_energy(t_r, t_i, laser)),
-                ell=ell, side=int(np.sign(target))))
-    events.sort(key=lambda e: e.t_r)
-    return events
+    roots = [_bracket_roots(lambda t: _field_only_x(t, t_i, -target, 0.0,
+                                                    laser),
+                            t_i, horizon, mesh_per_cycle, laser)
+             for target in targets]
+    side = np.repeat(np.sign(targets), [r.size for r in roots]).astype(int)
+    t_r = np.concatenate(roots)
+    order = np.argsort(t_r, kind="stable")
+    t_r = t_r[order]
+    # energies one arrival at a time: numpy's scalar ** calls libm pow, which
+    # differs from the array square in the last bit on ~0.1 % of values, and
+    # the scalar form keeps the bytes of stored return maps
+    e_r = np.array([return_energy(t, t_i, laser) for t in t_r])
+    return t_r, e_r, side[order]
 
 
 def max_return_energy(ell: float, laser: LaserParams, horizon: float = 1.5,
                       n_launch: int = 2000,
                       mesh_per_cycle: int = MESH_PER_CYCLE) -> float:
     """Maximum return energy at distance ell over launch phases in [0, T_L)."""
-    best = 0.0
-    T = laser.period
-    for t_i in np.linspace(0.0, T, n_launch, endpoint=False):
-        for ev in find_returns(t_i, ell, laser, horizon, mesh_per_cycle):
-            if ev.e_r > best:
-                best = ev.e_r
-    return best
+    e_r = [find_returns(t_i, ell, laser, horizon, mesh_per_cycle)[1]
+           for t_i in np.linspace(0.0, laser.period, n_launch,
+                                  endpoint=False)]
+    return float(np.concatenate(e_r).max(initial=0.0))
 
 
 @dataclass
@@ -167,38 +162,23 @@ class BackscatterTrajectory:
 
     def position(self, t):
         t = np.asarray(t, dtype=float)
-        w, f = self.laser.omega_L, self.laser.F_L
-        after = (self.x_s
-                 + (-self.p_s - (f / w) * np.cos(w * self.t_s)) * (t - self.t_s)
-                 + (f / w**2) * (np.sin(w * t) - np.sin(w * self.t_s)))
         return np.where(t < self.t_s, sfa_position(t, self.t_i, self.laser),
-                        after)
+                        _field_only_x(t, self.t_s, self.x_s, -self.p_s,
+                                      self.laser))
 
     def momentum(self, t):
         t = np.asarray(t, dtype=float)
-        w, f = self.laser.omega_L, self.laser.F_L
-        after = -self.p_s + (f / w) * (np.cos(w * t) - np.cos(w * self.t_s))
         return np.where(t < self.t_s, sfa_momentum(t, self.t_i, self.laser),
-                        after)
+                        _field_only_p(t, self.t_s, -self.p_s, self.laser))
 
     def origin_returns(self, horizon: float = 1.5,
-                       mesh_per_cycle: int = MESH_PER_CYCLE) -> list[SfaEvent]:
-        """Arrivals at x = 0 after the reversal, with their kinetic energies."""
-        T = self.laser.period
-        n_mesh = int(round(mesh_per_cycle * horizon))
-        t_lo = self.t_s + horizon * T / n_mesh
-        roots = _bracket_roots(lambda t: self.position(t), t_lo,
-                               self.t_s + horizon * T, n_mesh)
-        return [SfaEvent(t_i=self.t_i, t_r=float(r),
-                         e_r=float(0.5 * self.momentum(r) ** 2),
-                         ell=0.0, side=0, t_s=self.t_s)
-                for r in roots]
-
-
-def backscatter_trajectory(t_i: float, t_s: float,
-                           laser: LaserParams) -> BackscatterTrajectory:
-    """Trajectory identical to the direct one up to t_s, then p(t_s) → -p(t_s)."""
-    return BackscatterTrajectory(t_i=t_i, t_s=t_s, laser=laser)
+                       mesh_per_cycle: int = MESH_PER_CYCLE
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Arrival times at x = 0 after the reversal, and the kinetic
+        energies there."""
+        t_r = _bracket_roots(self.position, self.t_s, horizon,
+                             mesh_per_cycle, self.laser)
+        return t_r, 0.5 * self.momentum(t_r) ** 2
 
 
 def _drift_kick(z0, t0: float, t1: float, laser: LaserParams,

@@ -93,6 +93,11 @@ BAD_INPUTS = {
                                  "{records}", "--r-max", "0"],
     "run_n_c_0": ["run", "--config", "{cfg_n_c_0}"],
     "sample_env_n_c_0": ["sample-env", "--config", "{cfg_n_c_0}"],
+    "run_seed_negative": ["run", "--config", "{cfg}", "--seed", "-1"],
+    "sample_env_seed_negative": ["sample-env", "--config", "{cfg}",
+                                 "--seed", "-1"],
+    "config_master_seed_negative": ["run", "--config",
+                                    "{cfg_master_seed_-1}"],
 }
 
 
@@ -102,9 +107,10 @@ class TestExitCodes:
                                        capsys):
         places = {"cfg": tiny_records / "tiny.cfg",
                   "records": tiny_records / "records"}
-        for key in ("workers", "n_c"):
-            places[f"cfg_{key}_0"] = tmp_path / f"{key}0.cfg"
-            places[f"cfg_{key}_0"].write_text(TINY_CONFIG + f"{key} = 0\n")
+        for key, value in (("workers", 0), ("n_c", 0), ("master_seed", -1)):
+            places[f"cfg_{key}_{value}"] = tmp_path / f"{key}{value}.cfg"
+            places[f"cfg_{key}_{value}"].write_text(
+                TINY_CONFIG + f"{key} = {value}\n")
         argv = [a.format(**places) for a in BAD_INPUTS[case]]
         argv += ["--out", str(tmp_path / "out")]
         before = tree_digest(tiny_records / "records", skip=())
@@ -210,6 +216,20 @@ class TestPipeline:
         assert main(["pair-correlation", "--records", str(out),
                      "--r-max", "50"]) == 0
         assert (out / "pair_correlation.csv").exists()
+
+    def test_rerun_manifest_lists_only_its_outputs(self, tiny_config,
+                                                    tmp_path):
+        out = tmp_path / "records"
+        assert main(["run", "--config", str(tiny_config),
+                     "--out", str(out)]) == 0
+        assert main(["spectrum", "--records", str(out)]) == 0
+        assert main(["run", "--config", str(tiny_config), "--out", str(out),
+                     "--seed", "14"]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert (out / "spectrum_mean.csv").exists()
+        assert "spectrum_mean.csv" not in outputs
+        assert "mean_series.csv" in outputs
+        assert "snapshots/config_0001.bin" in outputs
 
     def test_snapshot_files_carry_grid(self, tiny_config, tmp_path):
         out = tmp_path / "records2"

@@ -4,9 +4,8 @@ import pytest
 import hhg1d.model as model
 import hhg1d.tdse as tdse
 from hhg1d.ensemble import (EnsembleSpec, MaskSpec, density_matrix_map,
-                            ensemble_expectation, merge_records,
-                            probability_density_map, purity, purity_series,
-                            run_ensemble)
+                            merge_records, probability_density_map, purity,
+                            purity_series, run_ensemble)
 from hhg1d.model import (AtomParams, EnvironmentConfig, LaserParams,
                          PerturberParams, potential_atom, potential_env,
                          gradient_atom, gradient_env)
@@ -144,10 +143,19 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(rec.norm[:, 0], direct.norm)
 
     def test_mean_is_arithmetic_mean(self):
+        """The configuration mean of ⟨x⟩ is ⟨x⟩ of the uniform mixture,
+        tr[ρ x] with ρ = (1/N_c) Σ |ψ_i⟩⟨ψ_i|, at the recorded snapshot
+        times."""
         spec = EnsembleSpec(n_c=3, **TINY)
         rec = run_ensemble(spec)
-        np.testing.assert_allclose(ensemble_expectation(rec, "x_expect"),
-                                   rec.x_expect.mean(axis=1), rtol=0)
+        grid = spec.grid()
+        both = np.isin(rec.snapshot_times, rec.times)
+        assert np.count_nonzero(both) >= 4
+        rows = np.searchsorted(rec.times, rec.snapshot_times[both])
+        rho_diag = np.mean(np.abs(rec.snapshots[both]) ** 2, axis=1)
+        np.testing.assert_allclose(rec.x_expect[rows].mean(axis=1),
+                                   rho_diag @ grid.x * grid.dx,
+                                   rtol=1e-10, atol=1e-13)
 
     def test_worker_count_does_not_change_results(self):
         spec = EnsembleSpec(n_c=4, **TINY)

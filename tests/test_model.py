@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhg1d.model import (AtomParams, EnvironmentConfig, LaserParams,
-                         PerturberParams, curvature_atom, envelope, field_at,
+                         PerturberParams, envelope, field_at,
                          field_from_intensity_wcm2, gradient_atom,
                          gradient_env, omega_from_wavelength_nm,
                          ponderomotive_energy, potential_atom, potential_env,
@@ -115,13 +115,6 @@ class TestGradients:
             fd = (f(x + h) - f(x - h)) / (2 * h)
             scale = np.maximum(np.abs(g(x)), 1e-12)
             assert np.max(np.abs(g(x) - fd) / scale) < 1e-6
-
-    def test_curvature_matches_finite_differences(self, atom):
-        x = np.linspace(-5.0, 5.0, 41)
-        h = 1e-4
-        fd = (gradient_atom(x + h, atom) - gradient_atom(x - h, atom)) / (2 * h)
-        np.testing.assert_allclose(curvature_atom(x, atom), fd, rtol=1e-6,
-                                   atol=1e-10)
 
 
 class TestLaserScales:

@@ -3,7 +3,7 @@ import pytest
 
 from hhg1d.model import (AtomParams, LaserParams, ponderomotive_energy,
                          potential_atom)
-from hhg1d.semiclassics import (OrbitError, backscatter_trajectory, classify,
+from hhg1d.semiclassics import (BackscatterTrajectory, OrbitError, classify,
                                 classical_flow, find_periodic_orbit,
                                 find_returns, max_return_energy, monodromy,
                                 overlay_orbit, quiver_guess, return_energy,
@@ -44,8 +44,8 @@ class TestReturns:
 
     def test_unreachable_distance(self):
         t_i = 0.05 * T
-        events = find_returns(t_i, 1e4, LASER)
-        assert events == []
+        t_r, e_r, side = find_returns(t_i, 1e4, LASER)
+        assert t_r.size == e_r.size == side.size == 0
 
     def test_return_energy_zero_at_launch(self):
         assert float(return_energy(0.3 * T, 0.3 * T, LASER)) == 0.0
@@ -57,7 +57,28 @@ class TestReturns:
             ell = rng.uniform(0, 40.0)
             coarse = find_returns(t_i, ell, LASER, mesh_per_cycle=2000)
             fine = find_returns(t_i, ell, LASER, mesh_per_cycle=4000)
-            assert len(coarse) == len(fine)
+            assert coarse[0].size == fine[0].size
+
+    def test_arrays_are_aligned_arrivals(self):
+        rng = np.random.default_rng(21)
+        horizon = 1.5
+        arrivals = 0
+        for k in range(80):
+            t_i = rng.uniform(0, T)
+            ell = 0.0 if k % 4 == 0 else rng.uniform(0, 40.0)
+            t_r, e_r, side = find_returns(t_i, ell, LASER, horizon)
+            assert t_r.size == e_r.size == side.size
+            arrivals += t_r.size
+            assert np.all(np.diff(t_r) > 0)
+            assert np.all((t_r > t_i) & (t_r <= t_i + horizon * T))
+            x = sfa_position(t_r, t_i, LASER)
+            np.testing.assert_allclose(np.abs(x), ell, rtol=0, atol=1e-8)
+            np.testing.assert_array_equal(side,
+                                          np.sign(x) if ell > 0 else 0)
+            np.testing.assert_allclose(e_r, 0.5 * sfa_momentum(t_r, t_i,
+                                                               LASER) ** 2,
+                                       rtol=0, atol=1e-12 * UP)
+        assert arrivals > 80
 
     def test_continuity_at_small_distance(self):
         e0 = max_return_energy(0.0, LASER, n_launch=600)
@@ -78,7 +99,7 @@ class TestBackscatter:
         t = np.linspace(t_i + 0.01, t_i + 2 * T, 40001)
         p = sfa_momentum(t, t_i, LASER)
         k = np.argmin(np.abs(p))
-        traj = backscatter_trajectory(t_i, float(t[k]), LASER)
+        traj = BackscatterTrajectory(t_i, float(t[k]), LASER)
         probe = np.linspace(t_i, t_i + 1.5 * T, 500)
         np.testing.assert_allclose(traj.position(probe),
                                    sfa_position(probe, t_i, LASER),
@@ -89,14 +110,14 @@ class TestBackscatter:
         for _ in range(50):
             t_i = rng.uniform(0, T)
             t_s = t_i + rng.uniform(0.05 * T, 1.5 * T)
-            traj = backscatter_trajectory(t_i, t_s, LASER)
+            traj = BackscatterTrajectory(t_i, t_s, LASER)
             eps = 1e-7
             before = float(traj.position(t_s - eps))
             after = float(traj.position(t_s + eps))
             assert after == pytest.approx(before, abs=1e-4)
 
     def test_momentum_flips_at_reversal(self):
-        traj = backscatter_trajectory(0.08 * T, 0.6 * T, LASER)
+        traj = BackscatterTrajectory(0.08 * T, 0.6 * T, LASER)
         eps = 1e-9
         assert float(traj.momentum(0.6 * T + eps)) == pytest.approx(
             -float(traj.momentum(0.6 * T - eps)), abs=1e-6)
@@ -106,10 +127,9 @@ class TestBackscatter:
         best = 0.0
         for t_i in np.linspace(0.0, 0.5 * T, 40):
             for t_s in np.linspace(t_i + 0.05 * T, t_i + T, 40):
-                traj = backscatter_trajectory(t_i, t_s, LASER)
-                for ev in traj.origin_returns(horizon=1.5,
-                                              mesh_per_cycle=400):
-                    best = max(best, ev.e_r)
+                traj = BackscatterTrajectory(t_i, t_s, LASER)
+                _, e_r = traj.origin_returns(horizon=1.5, mesh_per_cycle=400)
+                best = max(best, e_r.max(initial=0.0))
         assert best > 3.17 * UP
 
 
