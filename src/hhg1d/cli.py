@@ -181,8 +181,13 @@ class _Analysis:
         files = sorted(snap_dir.glob("config_*.bin"))
         if not files:
             raise MissingArtifactError(f"no snapshots under {snap_dir}")
-        stored = [read_wavefunctions(f) for f in files]
-        return stored[0][2], np.stack([s[3] for s in stored], axis=1)
+        _, _, times, first = read_wavefunctions(files[0])
+        states = np.empty((first.shape[0], len(files), first.shape[1]),
+                          dtype=complex)
+        states[:, 0] = first
+        for i, f in enumerate(files[1:], 1):
+            states[:, i] = read_wavefunctions(f)[3]
+        return times, states
 
     def save(self, *paths: Path) -> None:
         if self.out == self.rdir:

@@ -254,6 +254,11 @@ def density_matrix_map(snapshots: np.ndarray, grid: Grid,
 
 def probability_density_map(times: np.ndarray, snapshots: np.ndarray,
                             grid: Grid) -> SpatialMap:
-    """Ensemble-averaged |ψ(x, t)|² of (n_s, n_c, n) snapshots at `times`."""
-    dens = np.mean(np.abs(snapshots) ** 2, axis=1)
+    """Ensemble-averaged |ψ(x, t)|² of (n_s, n_c, n) snapshots at `times`.
+
+    One probe at a time, so no temporary as large as the snapshots exists.
+    """
+    dens = np.empty((len(snapshots), grid.n))
+    for k, probe in enumerate(snapshots):
+        dens[k] = np.mean(np.abs(probe) ** 2, axis=0)
     return SpatialMap(times, grid.x, dens)

@@ -48,8 +48,9 @@ class PeriodicOrbit:
 def _field_only_x(t, t0: float, x0: float, p0: float, laser: LaserParams):
     """Position on the field-only path through (x0, p0) at t0.
 
-    x0 is added last: `find_returns` searches x(t) - target with
-    x0 = -target, at no extra array operation.
+    x0 is added last, so x(t) - c on the path with x0 = 0 carries the bits
+    of the path with x0 = -c: `find_returns` evaluates one mesh for both
+    of its targets ±ℓ.
     """
     w, f = laser.omega_L, laser.F_L
     t = np.asarray(t, dtype=float)
@@ -83,30 +84,40 @@ def return_energy(t_r, t_i: float, laser: LaserParams):
 
 
 def _bracket_roots(fn, t_from: float, horizon: float, mesh_per_cycle: int,
-                   laser: LaserParams) -> np.ndarray:
-    """All sign-change roots of fn(t) within `horizon` cycles after t_from,
-    excluding t_from itself, by mesh + bisection.
+                   laser: LaserParams, levels: list[float]
+                   ) -> list[np.ndarray]:
+    """For each level c, all roots of fn(t) = c within `horizon` cycles
+    after t_from, excluding t_from itself, by mesh + bisection.
 
-    Bisection is vectorized over the brackets and runs until every
-    interval is narrower than ROOT_TOL.
+    fn is evaluated once on the whole mesh.  Each level's brackets are then
+    bisected in lockstep on Python floats, calling fn on one float at a
+    time, until every one of them is narrower than ROOT_TOL: at a few
+    brackets per level that costs less than numpy's per-call overhead on
+    arrays of that size.  A mesh value equal to c is a root; a zero product
+    of signs is no sign change.
     """
     n_mesh = int(round(mesh_per_cycle * horizon))
     span = horizon * laser.period
     t = np.linspace(t_from + span / n_mesh, t_from + span, n_mesh + 1)
-    v = fn(t)
-    flip = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)
-    exact = np.flatnonzero(v[1:] == 0.0)
-    lo, hi = t[flip], t[flip + 1]
-    v_lo = v[flip]
-    while lo.size and np.max(hi - lo) > ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        v_mid = fn(mid)
-        left = np.sign(v_lo) * np.sign(v_mid) < 0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        v_lo = np.where(left, v_lo, v_mid)
-    roots = 0.5 * (lo + hi)
-    return np.sort(np.concatenate([roots, t[exact + 1]]))
+    on_mesh = fn(t)
+    roots = []
+    for level in levels:
+        v = on_mesh - level
+        flip = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)
+        exact = np.flatnonzero(v[1:] == 0.0)
+        lo, hi = t[flip].tolist(), t[flip + 1].tolist()
+        v_lo = v[flip].tolist()
+        while lo and max(h - l for l, h in zip(lo, hi)) > ROOT_TOL:
+            for k in range(len(lo)):
+                mid = 0.5 * (lo[k] + hi[k])
+                v_mid = float(fn(mid)) - level
+                if v_lo[k] < 0.0 < v_mid or v_mid < 0.0 < v_lo[k]:
+                    hi[k] = mid
+                else:
+                    lo[k], v_lo[k] = mid, v_mid
+        mids = [0.5 * (l + h) for l, h in zip(lo, hi)]
+        roots.append(np.sort(np.concatenate([mids, t[exact + 1]])))
+    return roots
 
 
 def find_returns(t_i: float, ell: float, laser: LaserParams,
@@ -121,10 +132,8 @@ def find_returns(t_i: float, ell: float, laser: LaserParams,
     if ell < 0:
         raise ValueError("return distance must be nonnegative")
     targets = [0.0] if ell == 0.0 else [ell, -ell]
-    roots = [_bracket_roots(lambda t: _field_only_x(t, t_i, -target, 0.0,
-                                                    laser),
-                            t_i, horizon, mesh_per_cycle, laser)
-             for target in targets]
+    roots = _bracket_roots(lambda t: _field_only_x(t, t_i, 0.0, 0.0, laser),
+                           t_i, horizon, mesh_per_cycle, laser, targets)
     side = np.repeat(np.sign(targets), [r.size for r in roots]).astype(int)
     t_r = np.concatenate(roots)
     order = np.argsort(t_r, kind="stable")
@@ -176,8 +185,8 @@ class BackscatterTrajectory:
                        ) -> tuple[np.ndarray, np.ndarray]:
         """Arrival times at x = 0 after the reversal, and the kinetic
         energies there."""
-        t_r = _bracket_roots(self.position, self.t_s, horizon,
-                             mesh_per_cycle, self.laser)
+        (t_r,) = _bracket_roots(self.position, self.t_s, horizon,
+                                mesh_per_cycle, self.laser, [0.0])
         return t_r, 0.5 * self.momentum(t_r) ** 2
 
 
@@ -295,6 +304,11 @@ def _reversible_presearch(z, t0: float, laser: LaserParams,
             lo, hi, g_lo = xs[i], xs[i + 1], vals[i]
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    # floating-point fixed point: mid is lo or hi, and a
+                    # further step could at most collapse the bracket onto
+                    # mid, which is already the root returned below
+                    break
                 g_mid = g(mid)
                 if g_lo * g_mid <= 0.0:
                     hi = mid

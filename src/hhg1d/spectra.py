@@ -94,8 +94,14 @@ def gabor(times: np.ndarray, d: np.ndarray, t_w: float,
     """Magnitude of the windowed transform ∫ d(t) w(τ-t) e^{-iωt} dt.
 
     `taus` defaults to a stride of T_L/64 across the recorded interval
-    (which requires `laser`).  Each τ column only touches samples within
-    the window support, so the cost scales with T_w, not the record length.
+    (which requires `laser`).  Each τ row only touches samples within the
+    window support, so the cost scales with T_w, not the record length.
+
+    The map is one matrix product |W E|·dt: row i of W holds the windowed
+    samples of τ_i from their first sample t_lo on, and E_mj = e^{-iω_j m dt}.
+    The phase e^{-iω t_lo} of each row drops out of the magnitude, and the
+    sampling is uniform, so this equals the transform above.  Rows of τ
+    whose window holds no sample are zero.
     """
     times = np.asarray(times, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -109,15 +115,14 @@ def gabor(times: np.ndarray, d: np.ndarray, t_w: float,
     taus = np.asarray(taus, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
     half = 0.5 * t_w
-    values = np.zeros((taus.size, omegas.size))
-    for i, tau in enumerate(taus):
-        lo = np.searchsorted(times, tau - half, side="right")
-        hi = np.searchsorted(times, tau + half, side="left")
-        if hi <= lo:
-            continue
-        t_seg = times[lo:hi]
-        weighted = d[lo:hi] * gabor_window(tau - t_seg, t_w)
-        values[i] = np.abs(np.exp(-1j * np.outer(omegas, t_seg)) @ weighted) * dt
+    lo = np.searchsorted(times, taus - half, side="right")
+    count = np.searchsorted(times, taus + half, side="left") - lo
+    m = np.arange(count.max(initial=0))
+    idx = np.minimum(lo[:, None] + m, times.size - 1)
+    segments = np.where(m < count[:, None],
+                        d[idx] * gabor_window(taus[:, None] - times[idx], t_w),
+                        0.0)
+    values = np.abs(segments @ np.exp(-1j * dt * np.outer(m, omegas))) * dt
     return GaborMap(taus=taus, omegas=omegas, values=values, t_w=t_w)
 
 

@@ -119,29 +119,50 @@ def write_wavefunctions(path, x_min: float, x_max: float,
             append_wavefunction(fh, x_min, x_max, float(t), psi)
 
 
+# one snapshot record as `append_wavefunction` writes it; the n amplitudes
+# follow as interleaved little-endian re/im, which is the <c16 layout
+_SNAPSHOT_HEAD = [("magic", "S4"), ("version", "<u4"), ("kind", "<u4"),
+                  ("x_min", "<f8"), ("x_max", "<f8"), ("n", "<u8"),
+                  ("t", "<f8")]
+
+
+def _check_snapshot_heads(path, recs: np.ndarray) -> None:
+    if np.any(recs["magic"] != MAGIC):
+        raise ValueError("not an HHG1 binary file")
+    version = recs["version"][recs["version"] != FORMAT_VERSION]
+    if version.size:
+        raise ValueError(f"unsupported format version {version[0]}")
+    if np.any(recs["kind"] != KIND_WAVEFUNCTION):
+        raise ValueError(f"{path}: expected wavefunction records")
+
+
 def read_wavefunctions(path) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """All snapshot records in a file: (x_min, x_max, times, states)."""
+    """All snapshot records in a file: (x_min, x_max, times, states).
+
+    The file is read in one pass as an array of fixed-size records, sized
+    by the first record's n; every record must carry the same n and grid.
+    """
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(f"missing file: {path}")
-    times, states = [], []
-    x_min = x_max = None
-    with open(path, "rb") as fh:
-        while True:
-            kind = _read_header(fh)
-            if kind is None:
-                break
-            if kind != KIND_WAVEFUNCTION:
-                raise ValueError(f"{path}: expected wavefunction records")
-            x_lo, x_hi, n, t = struct.unpack("<ddQd", fh.read(32))
-            if x_min is None:
-                x_min, x_max = x_lo, x_hi
-            elif (x_lo, x_hi) != (x_min, x_max):
-                raise ValueError(f"{path}: inconsistent grids between records")
-            raw = np.frombuffer(fh.read(16 * n), dtype="<f8")
-            states.append(raw[0::2] + 1j * raw[1::2])
-            times.append(t)
-    return x_min, x_max, np.array(times), np.array(states)
+    size = path.stat().st_size
+    if size == 0:
+        return None, None, np.empty(0), np.empty((0, 0), dtype=complex)
+    head = np.fromfile(path, dtype=_SNAPSHOT_HEAD, count=1)
+    _check_snapshot_heads(path, head)
+    n = int(head["n"][0]) if head.size else 0
+    record = np.dtype(_SNAPSHOT_HEAD + [("psi", "<c16", (n,))])
+    if size % record.itemsize:
+        raise ValueError(f"{path}: {size} bytes are not a whole number of "
+                         f"{record.itemsize}-byte snapshot records")
+    recs = np.fromfile(path, dtype=record)
+    _check_snapshot_heads(path, recs)
+    if np.any(recs["n"] != n):
+        raise ValueError(f"{path}: inconsistent grid sizes between records")
+    x_min, x_max = float(recs["x_min"][0]), float(recs["x_max"][0])
+    if np.any(recs["x_min"] != x_min) or np.any(recs["x_max"] != x_max):
+        raise ValueError(f"{path}: inconsistent grids between records")
+    return x_min, x_max, recs["t"].copy(), recs["psi"]
 
 
 def write_map(path, row_axis, col_axis, values, row_label: str = "",

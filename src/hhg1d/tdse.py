@@ -21,8 +21,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.fft
-import scipy.sparse
-from scipy.sparse.linalg import eigsh
 
 from .model import LaserParams, field_at
 from .splitting import DRIFT_COEFFS, KICK_COEFFS, KICK_TIMES
@@ -292,6 +290,11 @@ def fd_eigenstates(grid: Grid, potential: np.ndarray,
     `ground_state`.  Returns (energies, states) with states normalized so
     Σ|ψ|²dx = 1, columns ordered by energy.
     """
+    # imported here, its only use: scipy.sparse.linalg pulls in scipy.linalg,
+    # which every other hhg1d process would pay for at start-up
+    import scipy.sparse
+    from scipy.sparse.linalg import eigsh
+
     n, dx = grid.n, grid.dx
     main = np.full(n, 5.0 / 2.0)
     off1 = np.full(n - 1, -4.0 / 3.0)

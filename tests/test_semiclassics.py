@@ -3,7 +3,8 @@ import pytest
 
 from hhg1d.model import (AtomParams, LaserParams, ponderomotive_energy,
                          potential_atom)
-from hhg1d.semiclassics import (BackscatterTrajectory, OrbitError, classify,
+from hhg1d.semiclassics import (MESH_PER_CYCLE, ROOT_TOL,
+                                BackscatterTrajectory, OrbitError, classify,
                                 classical_flow, find_periodic_orbit,
                                 find_returns, max_return_energy, monodromy,
                                 overlay_orbit, quiver_guess, return_energy,
@@ -13,6 +14,39 @@ LASER = LaserParams(F_L=0.15, omega_L=0.044)
 ATOM = AtomParams()
 T = LASER.period
 UP = ponderomotive_energy(LASER)
+
+
+def roots_on_arrays(fn, t_from, horizon):
+    """Reference arrival search: mesh + bisection of every bracket at once
+    as numpy arrays, until every bracket is narrower than ROOT_TOL."""
+    n_mesh = int(round(MESH_PER_CYCLE * horizon))
+    span = horizon * T
+    t = np.linspace(t_from + span / n_mesh, t_from + span, n_mesh + 1)
+    v = fn(t)
+    flip = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)
+    exact = np.flatnonzero(v[1:] == 0.0)
+    lo, hi = t[flip], t[flip + 1]
+    v_lo = v[flip]
+    while lo.size and np.max(hi - lo) > ROOT_TOL:
+        mid = 0.5 * (lo + hi)
+        v_mid = fn(mid)
+        left = np.sign(v_lo) * np.sign(v_mid) < 0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        v_lo = np.where(left, v_lo, v_mid)
+    return np.sort(np.concatenate([0.5 * (lo + hi), t[exact + 1]]))
+
+
+def returns_on_arrays(t_i, ell, horizon):
+    """Reference (t_r, e_r, side) of `find_returns`, one search per target."""
+    targets = [0.0] if ell == 0.0 else [ell, -ell]
+    roots = [roots_on_arrays(lambda t: sfa_position(t, t_i, LASER) - target,
+                             t_i, horizon) for target in targets]
+    side = np.repeat(np.sign(targets), [r.size for r in roots]).astype(int)
+    t_r = np.concatenate(roots)
+    order = np.argsort(t_r, kind="stable")
+    e_r = np.array([return_energy(t, t_i, LASER) for t in t_r[order]])
+    return t_r[order], e_r, side[order]
 
 
 class TestSfaTrajectory:
@@ -58,6 +92,20 @@ class TestReturns:
             coarse = find_returns(t_i, ell, LASER, mesh_per_cycle=2000)
             fine = find_returns(t_i, ell, LASER, mesh_per_cycle=4000)
             assert coarse[0].size == fine[0].size
+
+    def test_bitwise_equal_to_array_bisection(self):
+        rng = np.random.default_rng(34)
+        arrivals = 0
+        for k in range(200):
+            t_i = rng.uniform(0, T)
+            ell = 0.0 if k % 4 == 0 else rng.uniform(0, 40.0)
+            horizon = rng.uniform(0.2, 2.5)
+            got = find_returns(t_i, ell, LASER, horizon)
+            want = returns_on_arrays(t_i, ell, horizon)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            arrivals += got[0].size
+        assert arrivals > 200
 
     def test_arrays_are_aligned_arrivals(self):
         rng = np.random.default_rng(21)
@@ -121,6 +169,20 @@ class TestBackscatter:
         eps = 1e-9
         assert float(traj.momentum(0.6 * T + eps)) == pytest.approx(
             -float(traj.momentum(0.6 * T - eps)), abs=1e-6)
+
+    def test_origin_returns_match_array_bisection(self):
+        rng = np.random.default_rng(35)
+        arrivals = 0
+        for _ in range(40):
+            t_i = rng.uniform(0, T)
+            traj = BackscatterTrajectory(t_i, t_i + rng.uniform(0.05, 1.0) * T,
+                                         LASER)
+            t_r, e_r = traj.origin_returns()
+            want = roots_on_arrays(traj.position, traj.t_s, 1.5)
+            assert t_r.tobytes() == want.tobytes()
+            assert e_r.tobytes() == (0.5 * traj.momentum(want) ** 2).tobytes()
+            arrivals += t_r.size
+        assert arrivals > 10
 
     def test_boost_beyond_classic_limit(self):
         """Some reversal exists whose origin return exceeds 3.17 U_p."""

@@ -59,7 +59,46 @@ class TestHhgSpectrum:
                      magnitude=np.zeros(3))
 
 
+def gabor_per_tau(times, d, t_w, omegas, taus):
+    """Reference Gabor map: the windowed transform one τ row at a time, with
+    e^{-iωt} built at the sample times themselves."""
+    dt = times[1] - times[0]
+    values = np.zeros((taus.size, omegas.size))
+    for i, tau in enumerate(taus):
+        lo = np.searchsorted(times, tau - 0.5 * t_w, side="right")
+        hi = np.searchsorted(times, tau + 0.5 * t_w, side="left")
+        if hi <= lo:
+            continue
+        t_seg = times[lo:hi]
+        weighted = d[lo:hi] * gabor_window(tau - t_seg, t_w)
+        values[i] = np.abs(np.exp(-1j * np.outer(omegas, t_seg))
+                           @ weighted) * dt
+    return values
+
+
 class TestGabor:
+    @pytest.mark.parametrize("orders", [np.array([7.3]),
+                                        np.linspace(0.0, 40.0, 57)])
+    def test_matches_per_tau_transform(self, orders):
+        T = LASER.period
+        rng = np.random.default_rng(3)
+        t = np.arange(0.0, 6 * T, T / 128)
+        d = rng.normal(size=t.size)
+        t_w = 0.8 * T
+        outside = [t[0] - 2 * t_w, t[-1] + 2 * t_w]
+        taus = np.concatenate([
+            rng.uniform(t[0], t[-1], 20),                    # off the grid
+            [t[0] - 0.3 * t_w, t[0], t[-1], t[-1] + 0.3 * t_w],  # cut windows
+            outside])
+        omegas = orders * LASER.omega_L
+        got = gabor(t, d, t_w, omegas, taus=taus).values
+        want = gabor_per_tau(t, d, t_w, omegas, taus)
+        assert got.shape == want.shape == (taus.size, omegas.size)
+        assert np.all(got[-len(outside):] == 0.0)
+        assert np.all(want[:-len(outside)].max(axis=1) > 0.0)
+        row_max = want.max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * row_max)
+
     def test_window_shape(self):
         t_w = 10.0
         t = np.linspace(-6, 6, 101)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from hhg1d.storage import (Manifest, MissingArtifactError, read_csv,
-                           read_map, read_wavefunctions, sha256_of,
-                           write_csv, write_map, write_wavefunctions)
+from hhg1d.storage import (Manifest, MissingArtifactError,
+                           append_wavefunction, read_csv, read_map,
+                           read_wavefunctions, sha256_of, write_csv,
+                           write_map, write_wavefunctions)
 
 
 class TestCsv:
@@ -60,6 +61,26 @@ class TestWavefunctions:
     def test_missing(self, tmp_path):
         with pytest.raises(MissingArtifactError):
             read_wavefunctions(tmp_path / "gone.bin")
+
+    @pytest.mark.parametrize("cut", [8, 16 * 64, 16 * 64 + 20])
+    def test_truncated_file(self, tmp_path, cut):
+        path = tmp_path / "snaps.bin"
+        write_wavefunctions(path, -10.0, 10.0, [0.0, 1.0],
+                            np.ones((2, 64), dtype=complex))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError):
+            read_wavefunctions(path)
+
+    @pytest.mark.parametrize("x_max, n", [(12.0, 64), (10.0, 32)])
+    def test_mixed_grids(self, tmp_path, x_max, n):
+        path = tmp_path / "snaps.bin"
+        with open(path, "wb") as fh:
+            append_wavefunction(fh, -10.0, 10.0, 0.0,
+                                np.ones(64, dtype=complex))
+            append_wavefunction(fh, -10.0, x_max, 1.0,
+                                np.ones(n, dtype=complex))
+        with pytest.raises(ValueError):
+            read_wavefunctions(path)
 
 
 class TestMaps:
