@@ -80,12 +80,13 @@ def _floats(text: str, option: str) -> list[float]:
                           f"numbers, got {text!r}") from None
 
 
-def _load_records_manifest(records: str) -> Manifest:
-    manifest = Manifest.load(records)
-    for name in manifest.verify_outputs():
+def _verify(manifest: Manifest, *paths: Path) -> None:
+    """Warn for each file about to be read whose digest no longer matches
+    the manifest; only these files are hashed."""
+    names = [str(p.relative_to(manifest.directory)) for p in paths]
+    for name in manifest.verify_outputs(names):
         print(f"warning: checksum mismatch for {name} (records were edited?)",
               file=sys.stderr)
-    return manifest
 
 
 def cmd_ground_state(args) -> int:
@@ -155,7 +156,7 @@ class _Analysis:
     """
 
     def __init__(self, args):
-        self.manifest = _load_records_manifest(args.records)
+        self.manifest = Manifest.load(args.records)
         self.cfg = parse_config(self.manifest.data["config"])
         self.grid = self.cfg.grid()
         self.rdir = Path(args.records)
@@ -167,7 +168,9 @@ class _Analysis:
 
     def accel(self, member: int | None) -> tuple[np.ndarray, np.ndarray]:
         """Time axis and the ensemble-mean or one member's acceleration."""
-        t_axis, _, accel, _, _ = read_map(self.rdir / "accel_configs.bin")
+        path = self.rdir / "accel_configs.bin"
+        _verify(self.manifest, path)
+        t_axis, _, accel, _, _ = read_map(path)
         if member is None:
             return t_axis, accel.mean(axis=1)
         if not 0 <= member < accel.shape[1]:
@@ -176,17 +179,26 @@ class _Analysis:
         return t_axis, accel[:, member]
 
     def snapshots(self) -> tuple[np.ndarray, np.ndarray]:
-        """Snapshot times and the (n_probe, n_c, n) stored states."""
+        """Snapshot times and the (n_probe, n_c, n) stored states.
+
+        Every file must carry the times and grid of `config_0000.bin`.
+        """
         snap_dir = self.rdir / "snapshots"
         files = sorted(snap_dir.glob("config_*.bin"))
         if not files:
             raise MissingArtifactError(f"no snapshots under {snap_dir}")
-        _, _, times, first = read_wavefunctions(files[0])
+        _verify(self.manifest, *files)
+        x_min, x_max, times, first = read_wavefunctions(files[0])
         states = np.empty((first.shape[0], len(files), first.shape[1]),
                           dtype=complex)
         states[:, 0] = first
         for i, f in enumerate(files[1:], 1):
-            states[:, i] = read_wavefunctions(f)[3]
+            lo, hi, t, psi = read_wavefunctions(f)
+            if (lo, hi, psi.shape[1:]) != (x_min, x_max, first.shape[1:]) \
+                    or not np.array_equal(t, times):
+                raise MissingArtifactError(f"{f} holds other times or "
+                                           f"another grid than {files[0].name}")
+            states[:, i] = psi
         return times, states
 
     def save(self, *paths: Path) -> None:
@@ -231,8 +243,8 @@ def cmd_gabor(args) -> int:
 def cmd_purity(args) -> int:
     run = _Analysis(args)
     cfg = run.cfg
-    times, snaps = run.snapshots()
-    t_axis, p_tot, p_ph = purity_series(times, snaps, run.grid, cfg.mask)
+    # the states are freed before the fit loads scipy.optimize
+    t_axis, p_tot, p_ph = purity_series(*run.snapshots(), run.grid, cfg.mask)
     path = run.path("purity.csv")
     write_csv(path, {"t": t_axis, "purity_total": p_tot,
                      "purity_photoelectron": p_ph},
@@ -361,8 +373,10 @@ def cmd_pair_correlation(args) -> int:
     if args.env:
         env, checksum = Path(args.env), ""
     else:
-        env = Path(args.records) / "environment.txt"
-        checksum = _load_records_manifest(args.records).checksum()
+        manifest = Manifest.load(args.records)
+        env, checksum = manifest.directory / "environment.txt", \
+            manifest.checksum()
+        _verify(manifest, env)
     if not env.is_file():
         raise MissingArtifactError(f"no environment file {env}")
     configs, _ = load_configurations(env)

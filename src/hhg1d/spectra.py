@@ -200,21 +200,16 @@ def _decay_jacobian(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
     ])
 
 
-def _project(theta: np.ndarray) -> np.ndarray:
-    gamma = min(max(theta[0], 0.0), 1.0)
-    t_star = max(theta[1], 1e-6)
-    return np.array([gamma, t_star, theta[2]])
-
-
 def fit_purity_decay(times_au: np.ndarray, p: np.ndarray,
                      window: tuple[float, float] | None = None) -> PurityFit:
     """Fit the saturating-exponential purity model over the given window.
 
     Times enter in atomic units; the fitted (t*, t0) are reported in fs.
     Multi-start: a coarse grid over (t*, t0) with the optimal γ solved
-    linearly at each node, then damped Gauss-Newton refinement from the
-    best node, with γ projected into [0, 1] and t* kept positive.  A flat
-    series short-circuits to γ = 0 with the degenerate flag set.
+    linearly at each node, then a bounded trust-region-reflective
+    least-squares solve from the best node, with γ in [0, 1] and
+    t* ≥ 1e-6 fs.  A flat series short-circuits to γ = 0 with the
+    degenerate flag set.
     """
     times_au = np.asarray(times_au, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -243,27 +238,12 @@ def fit_purity_decay(times_au: np.ndarray, p: np.ndarray,
             if cost < best_cost:
                 best, best_cost = np.array([gamma, t_star, t0]), cost
 
-    theta = best
-    for _ in range(100):
-        r = _decay_model(theta, t) - p
-        jac = _decay_jacobian(theta, t)
-        try:
-            delta = np.linalg.lstsq(jac, -r, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        lam, cost = 1.0, float(r @ r)
-        for _ in range(20):
-            trial = _project(theta + lam * delta)
-            r_try = _decay_model(trial, t) - p
-            if float(r_try @ r_try) <= cost:
-                break
-            lam *= 0.5
-        else:
-            break
-        if np.all(np.abs(trial - theta) <= 1e-14 * (1.0 + np.abs(theta))):
-            theta = trial
-            break
-        theta = trial
+    # imported here, its only use: it adds ~20 MB to every hhg1d start-up
+    from scipy.optimize import least_squares
+    theta = least_squares(lambda th: _decay_model(th, t) - p, best,
+                          jac=lambda th: _decay_jacobian(th, t),
+                          bounds=([0.0, 1e-6, -np.inf], [1.0, np.inf, np.inf]),
+                          method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15).x
     r = _decay_model(theta, t) - p
     return PurityFit(gamma=float(theta[0]), t_star=float(theta[1]),
                      t0=float(theta[2]), residual_norm=float(np.linalg.norm(r)))

@@ -252,11 +252,12 @@ class Manifest:
         m.data = data
         return m
 
-    def verify_outputs(self) -> list[str]:
-        """Names of recorded outputs whose checksum no longer matches."""
+    def verify_outputs(self, names) -> list[str]:
+        """Those of the given relative names whose recorded checksum no
+        longer matches; a name the manifest does not list is not checked."""
         stale = []
-        for rel, digest in self.data["outputs"].items():
-            p = self.directory / rel
-            if not p.exists() or sha256_of(p) != digest:
+        for rel in names:
+            digest, p = self.data["outputs"].get(rel), self.directory / rel
+            if digest and (not p.exists() or sha256_of(p) != digest):
                 stale.append(rel)
         return stale

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hhg1d.cli import main
-from hhg1d.storage import read_csv, read_map, read_wavefunctions
+from hhg1d.storage import (read_csv, read_map, read_wavefunctions, write_map,
+                           write_wavefunctions)
 
 TINY_CONFIG = """
 [laser]
@@ -167,6 +169,50 @@ class TestExitCodes:
         rc = main(["orbits", "--anchors", "2.0",
                    "--out", str(tmp_path / "o")])
         assert rc == 4
+
+
+class TestRecordChecks:
+    """An analysis command hashes only the files it reads, and refuses a
+    snapshot set whose files disagree on times or grid."""
+
+    @pytest.fixture
+    def records(self, tiny_records, tmp_path):
+        return Path(shutil.copytree(tiny_records / "records",
+                                    tmp_path / "records"))
+
+    def test_warns_only_for_files_read(self, records, tmp_path, capsys):
+        snap = records / "snapshots" / "config_0000.bin"
+        x_min, x_max, times, states = read_wavefunctions(snap)
+        write_wavefunctions(snap, x_min, x_max, times, 0.5j * states)
+        rows, cols, accel, rl, cl = read_map(records / "accel_configs.bin")
+        write_map(records / "accel_configs.bin", rows, cols, accel + 1.0,
+                  rl, cl)
+        capsys.readouterr()
+        assert main(["spectrum", "--records", str(records),
+                     "--out", str(tmp_path / "s")]) == 0
+        err = capsys.readouterr().err
+        assert "checksum mismatch for accel_configs.bin" in err
+        assert err.count("warning:") == 1
+        assert main(["purity", "--records", str(records),
+                     "--out", str(tmp_path / "p")]) == 0
+        err = capsys.readouterr().err
+        assert "checksum mismatch for snapshots/config_0000.bin" in err
+        assert err.count("warning:") == 1
+
+    @pytest.mark.parametrize("command", ["purity", "density-map"])
+    def test_mixed_snapshot_set_is_3(self, command, records, tmp_path,
+                                     capsys):
+        snap = records / "snapshots" / "config_0001.bin"
+        x_min, x_max, times, states = read_wavefunctions(snap)
+        write_wavefunctions(snap, x_min, x_max, times + 50.0, states)
+        before = tree_digest(records, skip=())
+        capsys.readouterr()
+        assert main([command, "--records", str(records),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "missing artifact: " in err and "config_0001.bin" in err
+        assert not (tmp_path / "out").exists()
+        assert tree_digest(records, skip=()) == before
 
 
 class TestPipeline:

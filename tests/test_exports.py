@@ -3,12 +3,16 @@ the arguments the demos and the quickstart pass to them.
 
 Nothing runs the demos in the test suite, so a removed export or keyword
 would break them silently; this parses their source instead of running it.
+The last test pins which scipy modules `import hhg1d.cli` leaves unloaded.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import hhg1d
@@ -73,3 +77,16 @@ def test_demo_and_readme_calls_bind():
             checked += 1
     assert checked >= 50
     assert not failures
+
+
+def test_cli_start_up_loads_no_heavy_scipy_modules():
+    # every hhg1d process pays for what `hhg1d.cli` imports; these are
+    # loaded on first use, by the eigensolver and the purity fit
+    heavy = ["scipy.optimize", "scipy.sparse.linalg", "scipy.linalg"]
+    code = ("import sys, hhg1d.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=ROOT,
+                         env={**os.environ, "PYTHONPATH": str(
+                             Path(hhg1d.__file__).resolve().parents[1])})
+    assert out.stdout.strip() == "[]"

@@ -249,6 +249,35 @@ class TestPurityFit:
         fit = fit_purity_decay(t_au, p, window=(200.0, 400.0))
         assert fit.gamma == pytest.approx(0.4, abs=1e-4)
 
+    def test_boundary_minimum_reached(self):
+        # noisy decays whose unconstrained γ would exceed 1: the fit must
+        # stop where the bound-constrained optimality conditions hold, with
+        # a vanishing cost gradient in (t*, t0) and ∂C/∂γ ≤ 0 on γ = 1
+        rng = np.random.default_rng(11)
+        t_au = np.linspace(0.0, 700.0, 60)
+        t = t_au * AU_TIME_FS
+        n_boundary = 0
+        for _ in range(20):
+            gamma = rng.uniform(0.97, 1.15)
+            t_star, t0 = rng.uniform(1.0, 8.0), rng.uniform(-2.0, 3.0)
+            p = gamma * (np.exp(-(t - t0) / t_star) - 1.0) + 1.0 \
+                + 0.03 * rng.standard_normal(t.size)
+            fit = fit_purity_decay(t_au, p)
+            if fit.gamma < 1.0 - 1e-12:
+                continue
+            n_boundary += 1
+            e = np.exp(-(t - fit.t0) / fit.t_star)
+            r = fit.gamma * (e - 1.0) + 1.0 - p
+            jac = np.column_stack([e - 1.0,
+                                   fit.gamma * e * (t - fit.t0) / fit.t_star**2,
+                                   fit.gamma * e / fit.t_star])
+            grad, cost = 2.0 * jac.T @ r, float(r @ r)
+            assert fit.residual_norm == pytest.approx(np.sqrt(cost))
+            assert grad[0] <= 0.0
+            assert abs(grad[1]) * fit.t_star / cost <= 1e-6
+            assert abs(grad[2]) * fit.t_star / cost <= 1e-6
+        assert n_boundary >= 10
+
     def test_gamma_stays_in_unit_interval(self):
         t_au = np.linspace(0.0, 500.0, 200)
         p = 1.0 - 0.9 * (1.0 - np.exp(-t_au / 50.0)) \

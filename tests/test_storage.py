@@ -119,10 +119,11 @@ class TestManifest:
 
         loaded = Manifest.load(tmp_path)
         assert loaded.data["master_seed"] == 42
-        assert loaded.verify_outputs() == []
+        assert loaded.verify_outputs(["out.csv"]) == []
 
         data.write_text("tampered")
-        assert loaded.verify_outputs() == ["out.csv"]
+        # a name the manifest does not list is not checked
+        assert loaded.verify_outputs(["out.csv", "absent.csv"]) == ["out.csv"]
 
     def test_checksum_depends_on_seed(self, tmp_path):
         a = Manifest(tmp_path, "cfg", 1)
