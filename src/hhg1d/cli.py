@@ -15,7 +15,8 @@ files plus a reproducibility manifest.
 
 Propagation happens once (`run`); every analysis command re-reads the
 stored records and never mutates them.  Exit codes: 0 success, 2 bad
-configuration, 3 missing upstream artifact, 4 numerical failure.
+configuration, 3 missing or malformed upstream artifact, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -87,6 +88,15 @@ def _verify(manifest: Manifest, *paths: Path) -> None:
     for name in manifest.verify_outputs(names):
         print(f"warning: checksum mismatch for {name} (records were edited?)",
               file=sys.stderr)
+
+
+def _read(reader, path: Path):
+    """reader(path); a malformed record file exits 3 like a missing one,
+    with the reader's message, which names the file."""
+    try:
+        return reader(path)
+    except ValueError as exc:
+        raise MissingArtifactError(f"malformed record file: {exc}") from None
 
 
 def cmd_ground_state(args) -> int:
@@ -170,7 +180,7 @@ class _Analysis:
         """Time axis and the ensemble-mean or one member's acceleration."""
         path = self.rdir / "accel_configs.bin"
         _verify(self.manifest, path)
-        t_axis, _, accel, _, _ = read_map(path)
+        t_axis, _, accel, _, _ = _read(read_map, path)
         if member is None:
             return t_axis, accel.mean(axis=1)
         if not 0 <= member < accel.shape[1]:
@@ -188,12 +198,12 @@ class _Analysis:
         if not files:
             raise MissingArtifactError(f"no snapshots under {snap_dir}")
         _verify(self.manifest, *files)
-        x_min, x_max, times, first = read_wavefunctions(files[0])
+        x_min, x_max, times, first = _read(read_wavefunctions, files[0])
         states = np.empty((first.shape[0], len(files), first.shape[1]),
                           dtype=complex)
         states[:, 0] = first
         for i, f in enumerate(files[1:], 1):
-            lo, hi, t, psi = read_wavefunctions(f)
+            lo, hi, t, psi = _read(read_wavefunctions, f)
             if (lo, hi, psi.shape[1:]) != (x_min, x_max, first.shape[1:]) \
                     or not np.array_equal(t, times):
                 raise MissingArtifactError(f"{f} holds other times or "
@@ -379,7 +389,7 @@ def cmd_pair_correlation(args) -> int:
         _verify(manifest, env)
     if not env.is_file():
         raise MissingArtifactError(f"no environment file {env}")
-    configs, _ = load_configurations(env)
+    configs, _ = _read(load_configurations, env)
     out = Path(args.out) if args.out else env.parent
     out.mkdir(parents=True, exist_ok=True)
     edges, mass = pair_correlation(configs, args.bin_width, args.r_max)

@@ -162,7 +162,8 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleRecord:
 
 
 def merge_records(records: list[EnsembleRecord]) -> EnsembleRecord:
-    """Concatenate ensemble records along the configuration axis.
+    """Concatenate ensemble records along the configuration axis; a lone
+    record is returned as it is, without a copy.
 
     All records must share identical time axes and grids; mismatch is an
     error because incoherent averages are only defined time point by time
@@ -171,6 +172,8 @@ def merge_records(records: list[EnsembleRecord]) -> EnsembleRecord:
     if not records:
         raise ValueError("nothing to merge")
     first = records[0]
+    if len(records) == 1:
+        return first
     for r in records[1:]:
         if not (np.array_equal(r.times, first.times)
                 and np.array_equal(r.snapshot_times, first.snapshot_times)):

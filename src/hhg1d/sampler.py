@@ -145,11 +145,19 @@ def load_configurations(path) -> tuple[list[EnvironmentConfig], dict]:
         first = fh.readline()
         if not first.startswith("#"):
             raise ValueError(f"{path}: missing header line")
-        for item in first[1:].split():
-            key, _, val = item.partition("=")
-            header[key] = float(val) if "." in val or "e" in val else int(val)
-        for line in fh:
-            if line.strip():
+        try:
+            for item in first[1:].split():
+                key, _, val = item.partition("=")
+                header[key] = float(val) if "." in val or "e" in val \
+                    else int(val)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line 1: {exc}") from None
+        for lineno, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            try:
                 configs.append(EnvironmentConfig(
-                    positions=np.fromstring(line, sep=" ")))
+                    positions=[float(v) for v in line.split()]))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
     return configs, header

@@ -4,11 +4,13 @@ On-disk formats and reproducibility manifests.
 Text products are CSV: '#' comment lines naming the producing subcommand,
 code version, and manifest checksum, then a header row, then rows at full
 double precision.  Wavefunction snapshots and 2D maps share one binary
-container: magic "HHG1", format version, record kind, then little-endian
-64-bit payloads.  A snapshot file may hold any number of consecutive
-wavefunction records.  The run manifest (JSON) stores the resolved
-configuration, seed, version, timestamps, and a checksum per output, so a
-re-run can be byte-verified.
+container: a 12-byte header (magic "HHG1", <u4 format version, <u4 record
+kind), then little-endian 64-bit payloads.  A snapshot file may hold any
+number of consecutive wavefunction records of 44 + 16·n bytes each: the
+header with kind 1, then <f8 x_min, <f8 x_max, <u8 n and <f8 t, then n <c16
+amplitudes; `_snapshot_record` is that layout.  The run manifest (JSON)
+stores the resolved configuration, seed, version, timestamps, and a
+checksum per output, so a re-run can be byte-verified.
 """
 
 from __future__ import annotations
@@ -88,50 +90,58 @@ def _write_header(fh, kind: int):
     fh.write(struct.pack("<II", FORMAT_VERSION, kind))
 
 
-def _read_header(fh) -> int | None:
+def _read_header(fh, path) -> int | None:
     magic = fh.read(4)
     if not magic:
         return None
     if magic != MAGIC:
-        raise ValueError("not an HHG1 binary file")
+        raise ValueError(f"{path}: not an HHG1 binary file")
     version, kind = struct.unpack("<II", fh.read(8))
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {version}")
+        raise ValueError(f"{path}: unsupported format version {version}")
     return kind
+
+
+def _snapshot_record(n: int) -> np.dtype:
+    """One wavefunction record, 44 + 16·n bytes: the 12-byte container
+    header, grid descriptor and time stamp, then n amplitudes."""
+    return np.dtype([("magic", "S4"), ("version", "<u4"), ("kind", "<u4"),
+                     ("x_min", "<f8"), ("x_max", "<f8"), ("n", "<u8"),
+                     ("t", "<f8"), ("psi", "<c16", (n,))])
+
+
+def _snapshot_records(x_min, x_max, times, states) -> np.ndarray:
+    """The records of `states` (one row each) at `times`, ready to write."""
+    states = np.asarray(states, dtype=complex)
+    n = states.shape[-1]
+    recs = np.empty(len(times), dtype=_snapshot_record(n))
+    recs["magic"], recs["version"] = MAGIC, FORMAT_VERSION
+    recs["kind"], recs["n"] = KIND_WAVEFUNCTION, n
+    recs["x_min"], recs["x_max"], recs["t"] = x_min, x_max, times
+    recs["psi"] = states
+    return recs
 
 
 def append_wavefunction(fh, x_min: float, x_max: float, time_stamp: float,
                         amplitudes: np.ndarray):
-    """One snapshot record: grid descriptor, time stamp, interleaved re/im."""
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    _write_header(fh, KIND_WAVEFUNCTION)
-    fh.write(struct.pack("<ddQd", x_min, x_max, amplitudes.size, time_stamp))
-    inter = np.empty(2 * amplitudes.size)
-    inter[0::2] = amplitudes.real
-    inter[1::2] = amplitudes.imag
-    fh.write(inter.astype("<f8").tobytes())
+    """Append one snapshot record to a file open for binary writing."""
+    amplitudes = np.asarray(amplitudes, dtype=complex).reshape(1, -1)
+    fh.write(_snapshot_records(x_min, x_max, [time_stamp], amplitudes).data)
 
 
 def write_wavefunctions(path, x_min: float, x_max: float,
                         times, states) -> None:
+    """One snapshot record per (time, state) pair, in a new file."""
     with open(path, "wb") as fh:
-        for t, psi in zip(times, states):
-            append_wavefunction(fh, x_min, x_max, float(t), psi)
-
-
-# one snapshot record as `append_wavefunction` writes it; the n amplitudes
-# follow as interleaved little-endian re/im, which is the <c16 layout
-_SNAPSHOT_HEAD = [("magic", "S4"), ("version", "<u4"), ("kind", "<u4"),
-                  ("x_min", "<f8"), ("x_max", "<f8"), ("n", "<u8"),
-                  ("t", "<f8")]
+        fh.write(_snapshot_records(x_min, x_max, times, states).data)
 
 
 def _check_snapshot_heads(path, recs: np.ndarray) -> None:
     if np.any(recs["magic"] != MAGIC):
-        raise ValueError("not an HHG1 binary file")
+        raise ValueError(f"{path}: not an HHG1 binary file")
     version = recs["version"][recs["version"] != FORMAT_VERSION]
     if version.size:
-        raise ValueError(f"unsupported format version {version[0]}")
+        raise ValueError(f"{path}: unsupported format version {version[0]}")
     if np.any(recs["kind"] != KIND_WAVEFUNCTION):
         raise ValueError(f"{path}: expected wavefunction records")
 
@@ -148,10 +158,10 @@ def read_wavefunctions(path) -> tuple[float, float, np.ndarray, np.ndarray]:
     size = path.stat().st_size
     if size == 0:
         return None, None, np.empty(0), np.empty((0, 0), dtype=complex)
-    head = np.fromfile(path, dtype=_SNAPSHOT_HEAD, count=1)
+    head = np.fromfile(path, dtype=_snapshot_record(0), count=1)
     _check_snapshot_heads(path, head)
     n = int(head["n"][0]) if head.size else 0
-    record = np.dtype(_SNAPSHOT_HEAD + [("psi", "<c16", (n,))])
+    record = _snapshot_record(n)
     if size % record.itemsize:
         raise ValueError(f"{path}: {size} bytes are not a whole number of "
                          f"{record.itemsize}-byte snapshot records")
@@ -186,23 +196,32 @@ def write_map(path, row_axis, col_axis, values, row_label: str = "",
 
 
 def read_map(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, str, str]:
+    """(row_axis, col_axis, values, row_label, col_label); each array is
+    read once, and the file size must be what the header says."""
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(f"missing file: {path}")
     with open(path, "rb") as fh:
-        kind = _read_header(fh)
-        if kind != KIND_MAP:
-            raise ValueError(f"{path}: expected a map record")
-        labels = []
-        for _ in range(2):
-            (ln,) = struct.unpack("<I", fh.read(4))
-            labels.append(fh.read(ln).decode())
-        n_rows, n_cols = struct.unpack("<QQ", fh.read(16))
-        row_axis = np.frombuffer(fh.read(8 * n_rows), dtype="<f8")
-        col_axis = np.frombuffer(fh.read(8 * n_cols), dtype="<f8")
-        values = np.frombuffer(fh.read(8 * n_rows * n_cols),
-                               dtype="<f8").reshape(n_rows, n_cols)
-    return row_axis.copy(), col_axis.copy(), values.copy(), labels[0], labels[1]
+        try:
+            if _read_header(fh, path) != KIND_MAP:
+                raise ValueError(f"{path}: expected a map record")
+            labels = []
+            for _ in range(2):
+                (ln,) = struct.unpack("<I", fh.read(4))
+                labels.append(fh.read(ln).decode())
+            n_rows, n_cols = struct.unpack("<QQ", fh.read(16))
+        except struct.error:
+            raise ValueError(f"{path}: file ends inside its header") from None
+        need = fh.tell() + 8 * (n_rows + n_cols + n_rows * n_cols)
+        have = path.stat().st_size
+        if have != need:
+            raise ValueError(f"{path}: {have} bytes, but a {n_rows} x "
+                             f"{n_cols} map takes {need}")
+        row_axis = np.fromfile(fh, dtype="<f8", count=n_rows)
+        col_axis = np.fromfile(fh, dtype="<f8", count=n_cols)
+        values = np.fromfile(fh, dtype="<f8", count=n_rows * n_cols)
+    return (row_axis, col_axis, values.reshape(n_rows, n_cols),
+            labels[0], labels[1])
 
 
 # --- manifest ---

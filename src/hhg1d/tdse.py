@@ -186,44 +186,32 @@ def propagate(psi0: np.ndarray, plan: PropagatorPlan, t_start: float,
     probe_steps = probe_steps[(probe_steps >= 0) & (probe_steps <= n_steps)]
 
     psi = np.asarray(psi0, dtype=complex).copy()
-    times, norms, xs, accels = [], [], [], []
-    snap_times, snaps = [], []
-
-    def record(t):
-        dens = np.abs(psi) ** 2
-        w = np.sum(dens, axis=-1) * dx
-        times.append(t)
-        norms.append(w)
-        xs.append(np.sum(dens * x, axis=-1) * dx)
-        accels.append(-np.sum(dens * grad, axis=-1) * dx
-                      - field_at(t, plan.laser) * w)
-
-    probe_set = set(int(s) for s in probe_steps)
-    record(t_start)
-    if 0 in probe_set:
-        snap_times.append(t_start)
-        snaps.append(psi.copy())
-    for k in range(1, n_steps + 1):
-        t_prev = t_start + (k - 1) * dt
-        psi = step(psi, t_prev, plan)
-        psi = apply_absorber(psi, plan)
+    n_rec = n_steps // record_stride + 1
+    times = np.empty(n_rec)
+    norm, x_expect, accel = (np.empty((n_rec,) + psi.shape[:-1])
+                             for _ in range(3))
+    probe_row = {int(s): j for j, s in enumerate(probe_steps)}
+    snapshot_times = np.empty(len(probe_row))
+    snapshots = np.empty((len(probe_row),) + psi.shape, dtype=complex)
+    for k in range(n_steps + 1):
+        if k:
+            psi = step(psi, t_start + (k - 1) * dt, plan)
+            psi = apply_absorber(psi, plan)
         t_now = t_start + k * dt
         if k % record_stride == 0:
-            record(t_now)
-        if k in probe_set:
-            snap_times.append(t_now)
-            snaps.append(psi.copy())
+            j = k // record_stride
+            dens = np.abs(psi) ** 2
+            w = np.sum(dens, axis=-1) * dx
+            times[j], norm[j] = t_now, w
+            x_expect[j] = np.sum(dens * x, axis=-1) * dx
+            accel[j] = (-np.sum(dens * grad, axis=-1) * dx
+                        - field_at(t_now, plan.laser) * w)
+        if k in probe_row:
+            snapshot_times[probe_row[k]] = t_now
+            snapshots[probe_row[k]] = psi
 
-    shape = psi.shape[:-1]
-    return PropagationRecord(
-        times=np.array(times),
-        norm=np.array(norms).reshape(len(times), *shape),
-        x_expect=np.array(xs).reshape(len(times), *shape),
-        accel=np.array(accels).reshape(len(times), *shape),
-        snapshot_times=np.array(snap_times),
-        snapshots=(np.array(snaps) if snaps
-                   else np.empty((0,) + psi.shape, dtype=complex)),
-    )
+    return PropagationRecord(times, norm, x_expect, accel, snapshot_times,
+                             snapshots)
 
 
 def kinetic_energy(psi: np.ndarray, grid: Grid):

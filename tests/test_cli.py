@@ -173,7 +173,8 @@ class TestExitCodes:
 
 class TestRecordChecks:
     """An analysis command hashes only the files it reads, and refuses a
-    snapshot set whose files disagree on times or grid."""
+    snapshot set whose files disagree on times or grid, or a truncated or
+    malformed record file."""
 
     @pytest.fixture
     def records(self, tiny_records, tmp_path):
@@ -211,6 +212,30 @@ class TestRecordChecks:
                      "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert "missing artifact: " in err and "config_0001.bin" in err
+        assert not (tmp_path / "out").exists()
+        assert tree_digest(records, skip=()) == before
+
+    @pytest.mark.parametrize("command, name, damage", [
+        ("purity", "snapshots/config_0001.bin", "truncate"),
+        ("spectrum", "accel_configs.bin", "truncate"),
+        ("pair-correlation", "environment.txt", "append"),
+    ])
+    def test_corrupt_record_is_3(self, command, name, damage, records,
+                                 tmp_path, capsys):
+        path = records / name
+        raw = path.read_bytes()
+        if damage == "truncate":
+            path.write_bytes(raw[:-3])
+            where = name
+        else:
+            path.write_bytes(raw + b"# x\n")
+            where = f"{name}, line {len(raw.splitlines()) + 1}"
+        before = tree_digest(records, skip=())
+        capsys.readouterr()
+        assert main([command, "--records", str(records),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "missing artifact: " in err and where in err
         assert not (tmp_path / "out").exists()
         assert tree_digest(records, skip=()) == before
 

@@ -127,3 +127,14 @@ class TestSerialization:
         assert len(loaded) == 4
         for c0, c1 in zip(configs, loaded):
             np.testing.assert_array_equal(c0.positions, c1.positions)
+
+    @pytest.mark.parametrize("text, line", [
+        ("# a=10.0 n_p=x\n1 2\n", 1),
+        ("# a=10.0 n_p=2\n-1 1\n\n# x\n", 4),
+        ("# a=10.0 n_p=2\n-1 1\n-1 0 1\n", 3),
+    ], ids=["header_value", "not_a_number", "odd_count"])
+    def test_malformed_line_named(self, tmp_path, text, line):
+        path = tmp_path / "env.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"env.txt, line {line}: "):
+            load_configurations(path)

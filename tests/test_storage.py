@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,34 @@ class TestWavefunctions:
         with pytest.raises(ValueError):
             read_wavefunctions(path)
 
+    @pytest.mark.parametrize("n_rec, n", [(0, 16), (1, 1), (4, 1), (6, 33)])
+    def test_bytes_match_packed_records(self, tmp_path, n_rec, n):
+        def packed(x_min, x_max, t, psi):
+            # the record packed field by field, re/im interleaved by hand
+            head = b"HHG1" + struct.pack("<II", 1, 1)
+            head += struct.pack("<ddQd", x_min, x_max, psi.size, t)
+            inter = np.empty(2 * psi.size)
+            inter[0::2] = psi.real
+            inter[1::2] = psi.imag
+            return head + inter.astype("<f8").tobytes()
+
+        rng = np.random.default_rng(n_rec * 100 + n)
+        parts = rng.normal(size=(n_rec, 2 * n))
+        specials = np.array([-0.0, np.nan, np.inf, -np.inf, -np.nan, 0.0])
+        parts.flat[:min(parts.size, 6)] = specials[:min(parts.size, 6)]
+        states = parts.view(complex)
+        times = rng.normal(size=n_rec) * 100.0
+        times[:min(n_rec, 1)] = -0.0
+        expected = b"".join(packed(-12.5, 7.25, float(t), psi)
+                            for t, psi in zip(times, states))
+        path = tmp_path / "w.bin"
+        write_wavefunctions(path, -12.5, 7.25, times, states)
+        assert path.read_bytes() == expected
+        with open(tmp_path / "a.bin", "wb") as fh:
+            for t, psi in zip(times, states):
+                append_wavefunction(fh, -12.5, 7.25, t, psi)
+        assert (tmp_path / "a.bin").read_bytes() == expected
+
     @pytest.mark.parametrize("x_max, n", [(12.0, 64), (10.0, 32)])
     def test_mixed_grids(self, tmp_path, x_max, n):
         path = tmp_path / "snaps.bin"
@@ -100,6 +131,31 @@ class TestMaps:
         with pytest.raises(ValueError):
             write_map(tmp_path / "bad.bin", np.zeros(3), np.zeros(4),
                       np.zeros((4, 3)))
+
+    # nothing, then cuts inside the magic, the first label's length, right
+    # after that label, inside the axis sizes and the row axis, and a whole
+    # value and part of one off the end
+    @pytest.mark.parametrize("keep", [0, 2, 14, 17, 30, 50, -8, -3])
+    def test_truncated_file(self, tmp_path, keep):
+        path = tmp_path / "map.bin"
+        write_map(path, np.arange(4.0), np.arange(6.0),
+                  np.ones((4, 6)), "t", "x")
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="map.bin"):
+            read_map(path)
+
+    def test_reads_payload_once(self, tmp_path):
+        path = tmp_path / "map.bin"
+        values = np.random.default_rng(3).normal(size=(2000, 256))
+        write_map(path, np.arange(2000.0), np.arange(256.0), values)
+        tracemalloc.start()
+        try:
+            _, _, read, _, _ = read_map(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(read, values)
+        assert values.nbytes <= peak <= 1.2 * values.nbytes
 
     def test_wrong_kind(self, tmp_path):
         path = tmp_path / "wf.bin"
