@@ -21,9 +21,8 @@ exposes each pipeline stage as a subcommand.
 __version__ = "0.1.0"
 
 from .ensemble import (EnsembleRecord, EnsembleSpec, MaskSpec,
-                       density_matrix_map, merge_records,
-                       probability_density_map, purity, purity_series,
-                       run_ensemble)
+                       density_matrix_map, probability_density_map, purity,
+                       purity_series, run_ensemble)
 from .model import (AtomParams, EnvironmentConfig, LaserParams,
                     PerturberParams, envelope, field_at, gradient_atom,
                     gradient_env, ponderomotive_energy, potential_atom,
@@ -52,7 +51,7 @@ __all__ = [
     "fd_eigenstates", "field_at", "find_cutoff", "find_periodic_orbit",
     "find_returns", "fit_purity_decay", "gabor", "gradient_atom",
     "gradient_env", "ground_state", "harmonic_peaks", "hhg_spectrum",
-    "max_return_energy", "merge_records", "monodromy", "overlay_orbit",
+    "max_return_energy", "monodromy", "overlay_orbit",
     "pair_correlation", "parity_contrast", "plateau_statistics",
     "ponderomotive_energy", "potential_atom", "potential_env",
     "probability_density_map", "propagate", "purity", "purity_series",

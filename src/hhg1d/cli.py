@@ -75,10 +75,13 @@ def _finish(manifest: Manifest, paths) -> None:
 
 def _floats(text: str, option: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
+        if np.all(np.isfinite(values)):
+            return values
     except ValueError:
-        raise ConfigError(f"{option} must be a comma-separated list of "
-                          f"numbers, got {text!r}") from None
+        pass
+    raise ConfigError(f"{option} must be a comma-separated list of finite "
+                      f"numbers, got {text!r}")
 
 
 def _verify(manifest: Manifest, *paths: Path) -> None:
@@ -231,10 +234,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_gabor(args) -> int:
-    if not args.d_order > 0:
-        raise ConfigError(f"--d-order must be > 0, got {args.d_order:g}")
-    if not args.max_order >= 0:
-        raise ConfigError(f"--max-order must be >= 0, got {args.max_order:g}")
+    if not 0 < args.d_order < np.inf:
+        raise ConfigError(f"--d-order must be finite and > 0, "
+                          f"got {args.d_order:g}")
+    if not 0 <= args.max_order < np.inf:
+        raise ConfigError(f"--max-order must be finite and >= 0, "
+                          f"got {args.max_order:g}")
     run = _Analysis(args)
     laser = run.cfg.laser
     t_axis, series = run.accel(args.member)
@@ -281,6 +286,8 @@ def cmd_density_map(args) -> int:
         raise ConfigError("--x-lo and --x-hi must be given together")
     if args.stride < 1:
         raise ConfigError(f"--stride must be >= 1, got {args.stride}")
+    if args.time is not None and not np.isfinite(args.time):
+        raise ConfigError(f"--time must be finite, got {args.time:g}")
     run = _Analysis(args)
     times, snaps = run.snapshots()
     grid = run.grid
@@ -315,9 +322,10 @@ def cmd_sfa(args) -> int:
     ells = _floats(args.ell_list, "--ell-list")
     if not all(ell >= 0 for ell in ells):
         raise ConfigError(f"--ell-list distances must be >= 0, got {ells}")
-    if not args.horizon >= 1.0 / MESH_PER_CYCLE:
-        raise ConfigError(f"--horizon must be >= {1.0 / MESH_PER_CYCLE:g} "
-                          f"cycles, got {args.horizon:g}")
+    if not 1.0 / MESH_PER_CYCLE <= args.horizon < np.inf:
+        raise ConfigError(f"--horizon must be finite and >= "
+                          f"{1.0 / MESH_PER_CYCLE:g} cycles, "
+                          f"got {args.horizon:g}")
     if args.launches < 1:
         raise ConfigError(f"--launches must be >= 1, got {args.launches}")
     cfg, out, manifest = _start(args)
@@ -377,9 +385,9 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_pair_correlation(args) -> int:
-    if not (args.bin_width > 0 and args.r_max > 0):
-        raise ConfigError(f"--bin-width and --r-max must be > 0, got "
-                          f"{args.bin_width:g} and {args.r_max:g}")
+    if not (0 < args.bin_width < np.inf and 0 < args.r_max < np.inf):
+        raise ConfigError(f"--bin-width and --r-max must be finite and > 0, "
+                          f"got {args.bin_width:g} and {args.r_max:g}")
     if args.env:
         env, checksum = Path(args.env), ""
     else:

@@ -12,8 +12,10 @@ the manifest records the resolved atomic-unit values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
+from typing import Callable
 
 from .ensemble import EnsembleSpec, MaskSpec
 from .model import field_from_intensity_wcm2, omega_from_wavelength_nm
@@ -44,36 +46,44 @@ class RunConfig(EnsembleSpec):
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
+def _finite(text: str) -> float:
+    """float(text), refusing nan and ±inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 # section -> key -> (target dataclass field path, converter)
-_SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
+_SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
     "laser": {
-        "F_L": ("laser.F_L", float),
-        "intensity_wcm2": ("laser.F_L", float),
-        "omega": ("laser.omega_L", float),
-        "wavelength_nm": ("laser.omega_L", float),
+        "F_L": ("laser.F_L", _finite),
+        "intensity_wcm2": ("laser.F_L", _finite),
+        "omega": ("laser.omega_L", _finite),
+        "wavelength_nm": ("laser.omega_L", _finite),
         "n_up": ("laser.n_up", int),
         "n_plateau": ("laser.n_plateau", int),
         "n_down": ("laser.n_down", int),
     },
     "atom": {
-        "softening": ("atom.softening", float),
+        "softening": ("atom.softening", _finite),
     },
     "environment": {
-        "A_E": ("perturber.A_E", float),
-        "sigma_E": ("perturber.sigma_E", float),
-        "a": ("structure.a", float),
-        "sigma": ("structure.sigma", float),
+        "A_E": ("perturber.A_E", _finite),
+        "sigma_E": ("perturber.sigma_E", _finite),
+        "a": ("structure.a", _finite),
+        "sigma": ("structure.sigma", _finite),
         "n_p": ("structure.n_p", int),
-        "mask_radius": ("mask.r0", float),
-        "mask_width": ("mask.width", float),
+        "mask_radius": ("mask.r0", _finite),
+        "mask_width": ("mask.width", _finite),
     },
     "grid": {
-        "x_min": ("x_min", float),
-        "x_max": ("x_max", float),
+        "x_min": ("x_min", _finite),
+        "x_max": ("x_max", _finite),
         "n": ("n_grid", int),
-        "dt": ("dt", float),
+        "dt": ("dt", _finite),
         "record_stride": ("record_stride", int),
-        "absorber_band": ("absorber_band", float),
+        "absorber_band": ("absorber_band", _finite),
     },
     "ensemble": {
         "n_c": ("n_c", int),
@@ -82,7 +92,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
     },
     "output": {
         "out_dir": ("out_dir", str),
-        "gabor_window_cycles": ("gabor_window_cycles", float),
+        "gabor_window_cycles": ("gabor_window_cycles", _finite),
     },
 }
 
@@ -120,7 +130,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: cannot parse value for "
                               f"'{key}': {val!r}") from None
         if key in _UNIT_ALTERNATIVES:
-            parsed = _UNIT_ALTERNATIVES[key](parsed)
+            try:
+                parsed = _UNIT_ALTERNATIVES[key](parsed)
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
         values.setdefault(section, {})[key] = parsed
 
     groups: dict[str, dict[str, object]] = {}
@@ -155,7 +168,7 @@ def render_config(cfg: RunConfig) -> str:
             if key in _UNIT_ALTERNATIVES or path in execution:
                 continue
             value = attrgetter(path)(cfg)
-            lines.append(f"{key} = {value!r}" if conv is float
+            lines.append(f"{key} = {value!r}" if conv is _finite
                          else f"{key} = {value}")
     return "\n".join(lines) + "\n"
 

@@ -18,7 +18,7 @@ bitwise independent of the worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class EnsembleSpec:
     dt: float = 0.02
     record_stride: int = 4
     absorber_band: float = 0.1
-    probe_times: tuple[float, ...] | None = None  # None: every T_L/8
 
     def __post_init__(self):
         if self.n_c < 1:
@@ -86,17 +85,17 @@ class EnsembleSpec:
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, "
                              f"got {self.master_seed}")
-        if self.probe_times is not None:
-            end = self.laser.duration
-            if any(t < 0 or t > end for t in self.probe_times):
-                raise ValueError("probe_times must lie within the pulse")
+        if not self.dt > 0:
+            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if self.record_stride < 1:
+            raise ValueError("record_stride must be >= 1")
+        absorber_mask(self.grid(), self.absorber_band)  # raises if unusable
 
     def grid(self) -> Grid:
         return Grid(self.x_min, self.x_max, self.n_grid)
 
-    def resolved_probe_times(self) -> np.ndarray:
-        if self.probe_times is not None:
-            return np.asarray(self.probe_times, dtype=float)
+    def probe_times(self) -> np.ndarray:
+        """Snapshot times: every T_L/8 from 0 to the end of the pulse."""
         T = self.laser.period
         return np.arange(0.0, self.laser.duration + 0.25 * T / 8, T / 8)
 
@@ -117,8 +116,7 @@ class EnsembleRecord(PropagationRecord):
 
 
 def _propagate_block(spec: EnsembleSpec, configs: list[EnvironmentConfig],
-                     psi0: np.ndarray, e0: float,
-                     first_index: int) -> EnsembleRecord:
+                     psi0: np.ndarray, first_index: int) -> PropagationRecord:
     """Propagate a contiguous block of configurations as one batch."""
     grid = spec.grid()
     x = grid.x
@@ -131,12 +129,11 @@ def _propagate_block(spec: EnsembleSpec, configs: list[EnvironmentConfig],
     batch = np.tile(psi0, (len(configs), 1))
     rec = propagate(batch, plan, 0.0, spec.laser.duration, g_static,
                     record_stride=spec.record_stride,
-                    probe_times=spec.resolved_probe_times())
+                    probe_times=spec.probe_times())
     bad = ~np.isfinite(rec.norm[-1])
     if np.any(bad):
         raise PropagationFailure(first_index + int(np.argmax(bad)))
-    return EnsembleRecord(**vars(rec), spec=spec, configs=configs,
-                          ground_energy=e0)
+    return rec
 
 
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleRecord:
@@ -144,46 +141,27 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleRecord:
 
     The gas-phase ground state is prepared once and reused for every
     configuration: the buffer zone keeps the environment's overlap with the
-    bound state negligible.  Blocks are merged in configuration order.
+    bound state negligible.  Blocks are joined in configuration order.
     """
     configs = sample_ensemble(spec.master_seed, spec.n_c, spec.structure)
-    grid = spec.grid()
-    psi_g, e0 = ground_state(grid, lambda x: potential_atom(x, spec.atom))
+    psi_g, e0 = ground_state(spec.grid(),
+                             lambda x: potential_atom(x, spec.atom))
 
     bounds = np.linspace(0, spec.n_c, min(workers, spec.n_c) + 1).astype(int)
-    blocks = [(spec, configs[a:b], psi_g, e0, int(a))
+    blocks = [(spec, configs[a:b], psi_g, int(a))
               for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if len(blocks) == 1:
         parts = [_propagate_block(*blocks[0])]
     else:
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             parts = list(pool.map(_propagate_block, *zip(*blocks)))
-    return merge_records(parts)
-
-
-def merge_records(records: list[EnsembleRecord]) -> EnsembleRecord:
-    """Concatenate ensemble records along the configuration axis; a lone
-    record is returned as it is, without a copy.
-
-    All records must share identical time axes and grids; mismatch is an
-    error because incoherent averages are only defined time point by time
-    point.
-    """
-    if not records:
-        raise ValueError("nothing to merge")
-    first = records[0]
-    if len(records) == 1:
-        return first
-    for r in records[1:]:
-        if not (np.array_equal(r.times, first.times)
-                and np.array_equal(r.snapshot_times, first.snapshot_times)):
-            raise ValueError("records have misaligned time axes")
-        if r.spec.grid() != first.spec.grid():
-            raise ValueError("records live on different grids")
-    per_config = ("norm", "x_expect", "accel", "snapshots")  # axis 1: config
-    return replace(first, configs=sum((r.configs for r in records), []),
-                   **{name: np.concatenate([getattr(r, name) for r in records],
-                                           axis=1) for name in per_config})
+    # axis 1 is the configuration axis; a lone block is used without a copy
+    joined = {name: np.concatenate([getattr(r, name) for r in parts], axis=1)
+              if len(parts) > 1 else getattr(parts[0], name)
+              for name in ("norm", "x_expect", "accel", "snapshots")}
+    return EnsembleRecord(times=parts[0].times,
+                          snapshot_times=parts[0].snapshot_times, **joined,
+                          spec=spec, configs=configs, ground_energy=e0)
 
 
 def purity(snapshots: np.ndarray, dx: float,

@@ -37,8 +37,9 @@ class LaserParams:
     def __post_init__(self):
         if self.F_L < 0:
             raise ValueError(f"F_L must be >= 0, got {self.F_L}")
-        if self.omega_L <= 0:
-            raise ValueError(f"omega_L must be > 0, got {self.omega_L}")
+        if not 0 < self.omega_L < np.inf:
+            raise ValueError(f"omega_L must be finite and > 0, "
+                             f"got {self.omega_L}")
         for name in ("n_up", "n_plateau", "n_down"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")

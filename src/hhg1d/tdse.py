@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .model import LaserParams, field_at
 from .splitting import DRIFT_COEFFS, KICK_COEFFS, KICK_TIMES
@@ -123,6 +122,10 @@ def step(psi: np.ndarray, t: float, plan: PropagatorPlan) -> np.ndarray:
     coupling x·F(t).  Multiplications run in place on a fresh copy, so the
     input array is left untouched.
     """
+    # imported here, its only use: the analysis commands never step, and
+    # would otherwise pay for loading scipy.fft at start-up
+    import scipy.fft
+
     # The classical flow in `semiclassics` runs the same composition in its
     # own scalar loop: a drift/kick driver shared through callbacks made one
     # period of it 1.5x slower.

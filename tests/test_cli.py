@@ -61,6 +61,27 @@ BAD_INPUTS = {
     "run_workers_0": ["run", "--config", "{cfg}", "--workers", "0"],
     "run_workers_negative": ["run", "--config", "{cfg}", "--workers", "-1"],
     "config_workers_0": ["run", "--config", "{cfg_workers_0}"],
+    "config_dt_nan": ["run", "--config", "{cfg_dt_nan}"],
+    "config_dt_inf": ["run", "--config", "{cfg_dt_inf}"],
+    "config_dt_0": ["run", "--config", "{cfg_dt_0}"],
+    "config_dt_negative": ["run", "--config", "{cfg_dt_negative}"],
+    "config_x_max_below_x_min": ["run", "--config", "{cfg_x_max_-80}"],
+    "config_n_1": ["run", "--config", "{cfg_n_1}"],
+    "config_record_stride_0": ["run", "--config", "{cfg_record_stride_0}"],
+    "config_absorber_band_wide": ["run", "--config",
+                                  "{cfg_absorber_band_wide}"],
+    "config_absorber_band_nan": ["run", "--config",
+                                 "{cfg_absorber_band_nan}"],
+    "config_omega_inf": ["run", "--config", "{cfg_omega_inf}"],
+    "config_omega_nan": ["run", "--config", "{cfg_omega_nan}"],
+    "config_F_L_nan": ["run", "--config", "{cfg_F_L_nan}"],
+    "config_F_L_inf": ["run", "--config", "{cfg_F_L_inf}"],
+    "config_wavelength_nm_negative": ["run", "--config",
+                                      "{cfg_wavelength_nm_negative}"],
+    "config_intensity_wcm2_negative": ["run", "--config",
+                                       "{cfg_intensity_wcm2_negative}"],
+    "config_wavelength_nm_tiny": ["run", "--config",
+                                  "{cfg_wavelength_nm_tiny}"],
     "density_map_x_lo_alone": ["density-map", "--records", "{records}",
                                "--x-lo", "-10"],
     "density_map_x_hi_alone": ["density-map", "--records", "{records}",
@@ -70,6 +91,10 @@ BAD_INPUTS = {
                                      "--x-hi", "10"],
     "density_map_stride_0": ["density-map", "--records", "{records}",
                              "--stride", "0"],
+    "density_map_time_nan": ["density-map", "--records", "{records}",
+                             "--time", "nan"],
+    "density_map_time_inf": ["density-map", "--records", "{records}",
+                             "--time", "inf"],
     "spectrum_member_n_c": ["spectrum", "--records", "{records}",
                             "--member", "2"],
     "gabor_member_negative": ["gabor", "--records", "{records}",
@@ -79,6 +104,10 @@ BAD_INPUTS = {
                                "--d-order", "-0.5"],
     "gabor_max_order_negative": ["gabor", "--records", "{records}",
                                  "--max-order", "-1"],
+    "gabor_max_order_inf": ["gabor", "--records", "{records}",
+                            "--max-order", "inf"],
+    "gabor_d_order_inf": ["gabor", "--records", "{records}",
+                          "--d-order", "inf"],
     "density_map_x_range_between_points": ["density-map", "--records",
                                            "{records}", "--x-lo", "0.1",
                                            "--x-hi", "0.2"],
@@ -86,13 +115,21 @@ BAD_INPUTS = {
     "sfa_ell_list_negative": ["sfa", "--ell-list", "0,-5"],
     "sfa_horizon_0": ["sfa", "--horizon", "0"],
     "sfa_horizon_negative": ["sfa", "--horizon", "-1"],
+    "sfa_horizon_inf": ["sfa", "--horizon", "inf"],
+    "sfa_ell_list_inf": ["sfa", "--ell-list", "0,inf"],
     "sfa_launches_0": ["sfa", "--launches", "0"],
     "orbits_anchors_not_numbers": ["orbits", "--anchors", "x"],
     "orbits_anchors_trailing_comma": ["orbits", "--anchors", "2.0,"],
+    "orbits_anchors_inf": ["orbits", "--anchors", "inf"],
+    "orbits_anchors_nan": ["orbits", "--anchors", "nan"],
     "pair_correlation_bin_width_0": ["pair-correlation", "--records",
                                      "{records}", "--bin-width", "0"],
     "pair_correlation_r_max_0": ["pair-correlation", "--records",
                                  "{records}", "--r-max", "0"],
+    "pair_correlation_r_max_inf": ["pair-correlation", "--records",
+                                   "{records}", "--r-max", "inf"],
+    "pair_correlation_bin_width_inf": ["pair-correlation", "--records",
+                                       "{records}", "--bin-width", "inf"],
     "run_n_c_0": ["run", "--config", "{cfg_n_c_0}"],
     "sample_env_n_c_0": ["sample-env", "--config", "{cfg_n_c_0}"],
     "run_seed_negative": ["run", "--config", "{cfg}", "--seed", "-1"],
@@ -102,6 +139,30 @@ BAD_INPUTS = {
                                     "{cfg_master_seed_-1}"],
 }
 
+# the {cfg_...} files of BAD_INPUTS: TINY_CONFIG with one key set again
+# under its own section header
+BAD_CONFIGS = {
+    "cfg_workers_0": ("ensemble", "workers", "0"),
+    "cfg_n_c_0": ("ensemble", "n_c", "0"),
+    "cfg_master_seed_-1": ("ensemble", "master_seed", "-1"),
+    "cfg_dt_nan": ("grid", "dt", "nan"),
+    "cfg_dt_inf": ("grid", "dt", "inf"),
+    "cfg_dt_0": ("grid", "dt", "0"),
+    "cfg_dt_negative": ("grid", "dt", "-0.1"),
+    "cfg_x_max_-80": ("grid", "x_max", "-80"),
+    "cfg_n_1": ("grid", "n", "1"),
+    "cfg_record_stride_0": ("grid", "record_stride", "0"),
+    "cfg_absorber_band_wide": ("grid", "absorber_band", "0.6"),
+    "cfg_absorber_band_nan": ("grid", "absorber_band", "nan"),
+    "cfg_omega_inf": ("laser", "omega", "inf"),
+    "cfg_omega_nan": ("laser", "omega", "nan"),
+    "cfg_F_L_nan": ("laser", "F_L", "nan"),
+    "cfg_F_L_inf": ("laser", "F_L", "inf"),
+    "cfg_wavelength_nm_negative": ("laser", "wavelength_nm", "-5"),
+    "cfg_intensity_wcm2_negative": ("laser", "intensity_wcm2", "-1"),
+    # overflows to omega_L = inf after the finite check of the text
+    "cfg_wavelength_nm_tiny": ("laser", "wavelength_nm", "1e-320"),
+}
 
 class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -109,15 +170,17 @@ class TestExitCodes:
                                        capsys):
         places = {"cfg": tiny_records / "tiny.cfg",
                   "records": tiny_records / "records"}
-        for key, value in (("workers", 0), ("n_c", 0), ("master_seed", -1)):
-            places[f"cfg_{key}_{value}"] = tmp_path / f"{key}{value}.cfg"
-            places[f"cfg_{key}_{value}"].write_text(
-                TINY_CONFIG + f"{key} = {value}\n")
+        for name, (section, key, value) in BAD_CONFIGS.items():
+            places[name] = tmp_path / f"{name}.cfg"
+            places[name].write_text(
+                TINY_CONFIG + f"[{section}]\n{key} = {value}\n")
         argv = [a.format(**places) for a in BAD_INPUTS[case]]
         argv += ["--out", str(tmp_path / "out")]
         before = tree_digest(tiny_records / "records", skip=())
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("configuration error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "unknown key" not in err
         assert tree_digest(tiny_records / "records", skip=()) == before
         assert not (tmp_path / "out").exists()
 

@@ -4,8 +4,8 @@ import pytest
 import hhg1d.model as model
 import hhg1d.tdse as tdse
 from hhg1d.ensemble import (EnsembleSpec, MaskSpec, density_matrix_map,
-                            merge_records, probability_density_map, purity,
-                            purity_series, run_ensemble)
+                            probability_density_map, purity, purity_series,
+                            run_ensemble)
 from hhg1d.model import (AtomParams, EnvironmentConfig, LaserParams,
                          PerturberParams, potential_atom, potential_env,
                          gradient_atom, gradient_env)
@@ -138,7 +138,7 @@ class TestRunEnsemble:
         direct = propagate(psi0, plan, 0.0, spec.laser.duration,
                            gradient_atom(grid.x, spec.atom),
                            record_stride=spec.record_stride,
-                           probe_times=spec.resolved_probe_times())
+                           probe_times=spec.probe_times())
         np.testing.assert_array_equal(rec.accel[:, 0], direct.accel)
         np.testing.assert_array_equal(rec.norm[:, 0], direct.norm)
 
@@ -157,13 +157,20 @@ class TestRunEnsemble:
                                    rho_diag @ grid.x * grid.dx,
                                    rtol=1e-10, atol=1e-13)
 
-    def test_worker_count_does_not_change_results(self):
-        spec = EnsembleSpec(n_c=4, **TINY)
+    @pytest.mark.parametrize("n_c, workers", [(4, 2), (4, 3)])
+    def test_worker_count_does_not_change_results(self, n_c, workers):
+        """Blocks of any size, even uneven ones (1, 1, 2 at three workers),
+        join to the single-block record in configuration order."""
+        spec = EnsembleSpec(n_c=n_c, **TINY)
         serial = run_ensemble(spec, workers=1)
-        parallel = run_ensemble(spec, workers=2)
-        np.testing.assert_array_equal(serial.accel, parallel.accel)
-        np.testing.assert_array_equal(serial.norm, parallel.norm)
-        np.testing.assert_array_equal(serial.snapshots, parallel.snapshots)
+        parallel = run_ensemble(spec, workers=workers)
+        for name in ("times", "norm", "x_expect", "accel", "snapshot_times",
+                     "snapshots"):
+            np.testing.assert_array_equal(getattr(serial, name),
+                                          getattr(parallel, name))
+        assert parallel.n_c == n_c
+        for a, b in zip(serial.configs, parallel.configs):
+            np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_same_seed_identical(self):
         spec = EnsembleSpec(n_c=2, **TINY)
@@ -215,7 +222,7 @@ class TestFailureReporting:
                    for i in range(2)]
         poisoned = np.full(spec.grid().n, np.nan, dtype=complex)
         with pytest.raises(PropagationFailure) as exc:
-            _propagate_block(spec, configs, poisoned, e0=0.0, first_index=5)
+            _propagate_block(spec, configs, poisoned, first_index=5)
         assert exc.value.config_index == 5
 
 
@@ -268,22 +275,3 @@ class TestMaps:
         snap_norms = state_norm(rec.snapshots, grid.dx).mean(axis=1)
         np.testing.assert_allclose(traces, snap_norms, rtol=1e-12)
 
-
-class TestMerge:
-    def test_misaligned_axes_error(self):
-        spec_a = EnsembleSpec(n_c=1, **TINY)
-        rec_a = run_ensemble(spec_a)
-        kw = dict(TINY)
-        kw["dt"] = 0.05
-        rec_b = run_ensemble(EnsembleSpec(n_c=1, **kw))
-        with pytest.raises(ValueError):
-            merge_records([rec_a, rec_b])
-
-    def test_merge_concatenates(self):
-        kw = dict(TINY)
-        rec_a = run_ensemble(EnsembleSpec(n_c=2, **kw))
-        kw["master_seed"] = 12
-        rec_b = run_ensemble(EnsembleSpec(n_c=1, **kw))
-        merged = merge_records([rec_a, rec_b])
-        assert merged.n_c == 3
-        np.testing.assert_array_equal(merged.accel[:, :2], rec_a.accel)

@@ -81,8 +81,9 @@ def test_demo_and_readme_calls_bind():
 
 def test_cli_start_up_loads_no_heavy_scipy_modules():
     # every hhg1d process pays for what `hhg1d.cli` imports; these are
-    # loaded on first use, by the eigensolver and the purity fit
-    heavy = ["scipy.optimize", "scipy.sparse.linalg", "scipy.linalg"]
+    # loaded on first use, by the step, the eigensolver and the purity fit
+    heavy = ["scipy.fft", "scipy.optimize", "scipy.sparse.linalg",
+             "scipy.linalg"]
     code = ("import sys, hhg1d.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
