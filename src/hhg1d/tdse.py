@@ -16,6 +16,7 @@ side by side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,7 +27,7 @@ from .splitting import DRIFT_COEFFS, KICK_COEFFS, KICK_TIMES
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration cap exceeded; carries the last estimate."""
+    """Iteration cap exceeded or a non-finite estimate; carries the last one."""
 
     def __init__(self, message, last_value):
         super().__init__(message)
@@ -95,8 +96,11 @@ class PropagatorPlan:
 
     Holds the kinetic phase factors for every drift coefficient, the kick
     factors of the static potential for every kick coefficient, the laser,
-    and the absorber mask (None disables absorption).  `static_potential`
-    may be (n,) or (m, n) for a batch of environments sharing the grid.
+    the absorber mask (None disables absorption) and the two position tables
+    of the field phase: with b = ⌈√n⌉, `x_hi[q] = x_min + dx·b·q` and
+    `x_lo[r] = dx·r`, so that x_j = x_hi[q] + x_lo[r] for j = b·q + r.
+    `static_potential` may be (n,) or (m, n) for a batch of environments
+    sharing the grid.
     """
 
     def __init__(self, grid: Grid, dt: float, static_potential: np.ndarray,
@@ -112,6 +116,20 @@ class PropagatorPlan:
         pot = -1j * dt * np.asarray(static_potential, dtype=float)
         self.static_kick_factors = [np.exp(b * pot) for b in KICK_COEFFS]
         self.kick_times = KICK_TIMES * dt
+        b = math.isqrt(grid.n - 1) + 1
+        self.x_hi = grid.x_min + grid.dx * b * np.arange(-(-grid.n // b))
+        self.x_lo = grid.dx * np.arange(b)
+
+    def field_phases(self, c: np.ndarray) -> np.ndarray:
+        """e^{c_k·x_j} for every coefficient c_k, shape (len(c), n).
+
+        Built as the outer product of e^{c_k·x_hi} and e^{c_k·x_lo}: 2⌈√n⌉
+        complex exponentials per coefficient instead of n, equal to the
+        direct exponential to roundoff.
+        """
+        phase = (np.exp(np.multiply.outer(c, self.x_hi))[:, :, None]
+                 * np.exp(np.multiply.outer(c, self.x_lo))[:, None, :])
+        return phase.reshape(c.size, -1)[:, :self.grid.n]
 
 
 def step(psi: np.ndarray, t: float, plan: PropagatorPlan) -> np.ndarray:
@@ -119,8 +137,11 @@ def step(psi: np.ndarray, t: float, plan: PropagatorPlan) -> np.ndarray:
 
     The field factor of kick k is evaluated at t plus the accumulated drift
     time, which keeps the composition fourth-order for the time-dependent
-    coupling x·F(t).  Multiplications run in place on a fresh copy, so the
-    input array is left untouched.
+    coupling x·F(t).  One vector call of `field_at` gives the field F_k at
+    all six kick times, and `plan.field_phases` builds the six phases
+    e^{c_k·x}, c_k = -i·b_k·dt·F_k, from the plan's two √n-point tables.
+    Multiplications run in place on a fresh copy, so the input array is
+    left untouched.
     """
     # imported here, its only use: the analysis commands never step, and
     # would otherwise pay for loading scipy.fft at start-up
@@ -129,15 +150,15 @@ def step(psi: np.ndarray, t: float, plan: PropagatorPlan) -> np.ndarray:
     # The classical flow in `semiclassics` runs the same composition in its
     # own scalar loop: a drift/kick driver shared through callbacks made one
     # period of it 1.5x slower.
-    x = plan.grid.x
-    dt = plan.dt
+    field_phase = plan.field_phases(
+        -1j * KICK_COEFFS * plan.dt * field_at(t + plan.kick_times,
+                                               plan.laser))
     psi_k = scipy.fft.fft(psi, axis=-1)
     psi_k *= plan.kinetic_factors[0]
     psi = scipy.fft.ifft(psi_k, axis=-1, overwrite_x=True)
     for k in range(6):
-        f_t = field_at(t + plan.kick_times[k], plan.laser)
         psi *= plan.static_kick_factors[k]
-        psi *= np.exp((-1j * KICK_COEFFS[k] * dt * f_t) * x)
+        psi *= field_phase[k]
         psi_k = scipy.fft.fft(psi, axis=-1, overwrite_x=True)
         psi_k *= plan.kinetic_factors[k + 1]
         psi = scipy.fft.ifft(psi_k, axis=-1, overwrite_x=True)
@@ -207,11 +228,13 @@ def propagate(psi0: np.ndarray, plan: PropagatorPlan, t_start: float,
             w = np.sum(dens, axis=-1) * dx
             times[j], norm[j] = t_now, w
             x_expect[j] = np.sum(dens * x, axis=-1) * dx
-            accel[j] = (-np.sum(dens * grad, axis=-1) * dx
-                        - field_at(t_now, plan.laser) * w)
+            accel[j] = -np.sum(dens * grad, axis=-1) * dx
         if k in probe_row:
             snapshot_times[probe_row[k]] = t_now
             snapshots[probe_row[k]] = psi
+    # the field term of every record in one call of `field_at`
+    accel -= field_at(times, plan.laser).reshape(
+        (-1,) + (1,) * (accel.ndim - 1)) * norm
 
     return PropagationRecord(times, norm, x_expect, accel, snapshot_times,
                              snapshots)
@@ -242,7 +265,9 @@ def ground_state(grid: Grid, potential: Callable | np.ndarray,
     drifts by less than 1e-10 per step; shrinking dτ between stages removes
     the splitting bias, and the Rayleigh quotient is variational so the
     residual energy error is quadratic in the state error.  Returns (ψ, E):
-    the normalized amplitudes on the grid and the energy.
+    the normalized amplitudes on the grid and the energy.  A Rayleigh energy
+    or drift that is not finite raises `ConvergenceError` at once, naming the
+    stage's dτ and the iteration.
     """
     v = potential(grid.x) if callable(potential) else np.asarray(potential)
     if v.shape != (grid.n,):
@@ -261,6 +286,11 @@ def ground_state(grid: Grid, potential: Callable | np.ndarray,
             drift = abs(new_energy - energy)
             energy = new_energy
             total_iter += 1
+            if not math.isfinite(drift):
+                raise ConvergenceError(
+                    f"imaginary-time energy is not finite at dτ = {dtau}, "
+                    f"iteration {total_iter} (energy {energy!r}, "
+                    f"drift {drift!r})", energy)
             if drift < 1e-10:
                 break
             if total_iter >= max_iter:

@@ -233,6 +233,18 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 4
 
+    def test_non_finite_ground_state_is_4_at_first_iteration(self, tmp_path,
+                                                             capsys):
+        cfg = tmp_path / "soft.cfg"
+        cfg.write_text(TINY_CONFIG + "[atom]\nsoftening = 1e-300\n")
+        with np.errstate(all="ignore"):
+            rc = main(["ground-state", "--config", str(cfg),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: imaginary-time energy is "
+                              "not finite at dτ = 0.5, iteration 1 ")
+
 
 class TestRecordChecks:
     """An analysis command hashes only the files it reads, and refuses a

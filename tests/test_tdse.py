@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from hhg1d.model import (LaserParams, gradient_atom, potential_atom)
+from hhg1d import tdse
+from hhg1d.config import RunConfig
+from hhg1d.model import (AtomParams, LaserParams, field_at, gradient_atom,
+                         potential_atom)
+from hhg1d.splitting import KICK_COEFFS
 from hhg1d.tdse import (ConvergenceError, Grid, PropagatorPlan, absorber_mask,
                         apply_absorber, fd_eigenstates, ground_state, overlap,
                         propagate, state_norm, step)
@@ -62,6 +66,16 @@ class TestGroundState:
             ground_state(g, lambda x: 0.5 * x * x, max_iter=3)
         assert np.isfinite(exc.value.last_value)
 
+    def test_non_finite_energy_fails_in_first_stage(self):
+        # V(0) = -1e150 overflows the first stage's potential decay
+        g = Grid(-80.0, 80.0, 256)
+        atom = AtomParams(softening=1e-300)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ConvergenceError) as exc:
+            ground_state(g, lambda x: potential_atom(x, atom))
+        assert "dτ = 0.5, iteration 1 " in str(exc.value)
+        assert not np.isfinite(exc.value.last_value)
+
 
 class TestStep:
     def test_free_packet_dispersion(self):
@@ -112,6 +126,60 @@ class TestStep:
         batch = step(np.stack([psi_a, psi_b]), 5.0, plan2)
         np.testing.assert_array_equal(batch[0], singles[0])
         np.testing.assert_array_equal(batch[1], singles[1])
+
+
+class TestFieldKicks:
+    @pytest.mark.parametrize("n", [256, 1000, 1021, 1024, 2560, 8192])
+    def test_table_phase_matches_direct_exponential(self, n):
+        cfg = RunConfig()
+        g = Grid(cfg.x_min, cfg.x_max, n)
+        plan = PropagatorPlan(g, cfg.dt, np.zeros(n), cfg.laser)
+        c_max = np.abs(KICK_COEFFS).max() * cfg.dt * cfg.laser.F_L
+        c = -1j * c_max * np.array([1.0, -1.0, 0.37, -1e-3, 0.0])
+        phases = plan.field_phases(c)
+        assert phases.shape == (c.size, n)
+        for ck, phase in zip(c, phases):
+            assert np.abs(phase - np.exp(ck * g.x)).max() <= 1e-14
+
+    def test_one_field_call_per_step(self, fine_grid, atom, monkeypatch):
+        calls = []
+
+        def counting(t, laser):
+            calls.append(np.shape(t))
+            return field_at(t, laser)
+
+        monkeypatch.setattr(tdse, "field_at", counting)
+        plan = PropagatorPlan(fine_grid, 0.05,
+                              potential_atom(fine_grid.x, atom),
+                              LaserParams(F_L=0.05, omega_L=0.057))
+        psi = gaussian_packet(fine_grid, 0.0, 3.0)
+        step(psi, 10.0, plan)
+        assert calls == [(6,)]
+        calls.clear()
+        propagate(psi, plan, 10.0, 10.0 + 7 * plan.dt,
+                  gradient_atom(fine_grid.x, atom), record_stride=3)
+        assert len(calls) == 7 + 1
+
+    def test_accel_matches_per_record_formula(self, atom, reduced_laser):
+        g = Grid(-120.0, 120.0, 512)
+        v, grad = potential_atom(g.x, atom), gradient_atom(g.x, atom)
+        plan = PropagatorPlan(g, 0.05, np.stack([v, 1.5 * v]),
+                              reduced_laser, mask=absorber_mask(g))
+        psi0 = np.stack([gaussian_packet(g, -2.0, 2.0, 0.3),
+                         gaussian_packet(g, 1.0, 3.0, -0.2)])
+        t0, stride, n_steps = 150.0, 3, 11
+        record_times = t0 + plan.dt * np.arange(0, n_steps + 1, stride)
+        rec = propagate(psi0, plan, t0, t0 + n_steps * plan.dt,
+                        np.stack([grad, 1.5 * grad]), record_stride=stride,
+                        probe_times=record_times)
+        np.testing.assert_array_equal(rec.snapshot_times, rec.times)
+        for j, t_now in enumerate(rec.times):
+            dens = np.abs(rec.snapshots[j]) ** 2
+            w = np.sum(dens, axis=-1) * g.dx
+            old = (-np.sum(dens * np.stack([grad, 1.5 * grad]), axis=-1)
+                   * g.dx - field_at(t_now, reduced_laser) * w)
+            np.testing.assert_array_equal(rec.accel[j], old)
+        assert np.all(rec.accel != 0.0)
 
 
 class TestUnitarityAndReversal:
