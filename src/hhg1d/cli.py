@@ -40,7 +40,7 @@ from .semiclassics import (MESH_PER_CYCLE, OrbitError, find_periodic_orbit,
                            find_returns, max_return_energy, quiver_guess,
                            symmetry_partner)
 from .spectra import fit_purity_decay, gabor, hhg_spectrum
-from .storage import (Manifest, MissingArtifactError, read_map,
+from .storage import (Manifest, MissingArtifactError, SnapshotSet, read_map,
                       read_wavefunctions, write_csv, write_map,
                       write_wavefunctions)
 from .tdse import ConvergenceError, ground_state
@@ -93,11 +93,11 @@ def _verify(manifest: Manifest, *paths: Path) -> None:
               file=sys.stderr)
 
 
-def _read(reader, path: Path):
-    """reader(path); a malformed record file exits 3 like a missing one,
+def _read(reader, source):
+    """reader(source); a malformed record file exits 3 like a missing one,
     with the reader's message, which names the file."""
     try:
-        return reader(path)
+        return reader(source)
     except ValueError as exc:
         raise MissingArtifactError(f"malformed record file: {exc}") from None
 
@@ -160,6 +160,13 @@ def cmd_run(args) -> int:
     return 0
 
 
+class _Probes(SnapshotSet):
+    """A SnapshotSet whose malformed records exit 3, like a missing file."""
+
+    def __getitem__(self, k) -> np.ndarray:
+        return _read(super().__getitem__, k)
+
+
 class _Analysis:
     """A stored run read by an analysis command, and where its outputs go.
 
@@ -191,28 +198,20 @@ class _Analysis:
                               f"index of these records (0..{accel.shape[1] - 1})")
         return t_axis, accel[:, member]
 
-    def snapshots(self) -> tuple[np.ndarray, np.ndarray]:
-        """Snapshot times and the (n_probe, n_c, n) stored states.
+    def snapshots(self) -> tuple[np.ndarray, _Probes]:
+        """Snapshot times and the stored states, read one (n_c, n) probe
+        at a time.
 
-        Every file must carry the times and grid of `config_0000.bin`.
+        Every file is hashed first; every record must carry the time and
+        grid of its probe in `config_0000.bin`.
         """
         snap_dir = self.rdir / "snapshots"
         files = sorted(snap_dir.glob("config_*.bin"))
         if not files:
             raise MissingArtifactError(f"no snapshots under {snap_dir}")
         _verify(self.manifest, *files)
-        x_min, x_max, times, first = _read(read_wavefunctions, files[0])
-        states = np.empty((first.shape[0], len(files), first.shape[1]),
-                          dtype=complex)
-        states[:, 0] = first
-        for i, f in enumerate(files[1:], 1):
-            lo, hi, t, psi = _read(read_wavefunctions, f)
-            if (lo, hi, psi.shape[1:]) != (x_min, x_max, first.shape[1:]) \
-                    or not np.array_equal(t, times):
-                raise MissingArtifactError(f"{f} holds other times or "
-                                           f"another grid than {files[0].name}")
-            states[:, i] = psi
-        return times, states
+        times = _read(read_wavefunctions, files[0])[2]
+        return times, _read(_Probes, files)
 
     def save(self, *paths: Path) -> None:
         if self.out == self.rdir:
@@ -258,7 +257,6 @@ def cmd_gabor(args) -> int:
 def cmd_purity(args) -> int:
     run = _Analysis(args)
     cfg = run.cfg
-    # the states are freed before the fit loads scipy.optimize
     t_axis, p_tot, p_ph = purity_series(*run.snapshots(), run.grid, cfg.mask)
     path = run.path("purity.csv")
     write_csv(path, {"t": t_axis, "purity_total": p_tot,
@@ -306,10 +304,10 @@ def cmd_density_map(args) -> int:
     dmap = density_matrix_map(snaps[idx], grid,
                               mask=run.cfg.mask if args.masked else None,
                               x_range=x_range, stride=args.stride)
+    # both maps before either file: a bad record at any probe writes nothing
+    pmap = probability_density_map(times, snaps, grid)
     dpath = run.path("density_matrix.bin")
     write_map(dpath, dmap.row_axis, dmap.col_axis, dmap.values, "x", "x'")
-
-    pmap = probability_density_map(times, snaps, grid)
     ppath = run.path("probability_density.bin")
     write_map(ppath, pmap.row_axis, pmap.col_axis, pmap.values, "t", "x")
     run.save(dpath, ppath)

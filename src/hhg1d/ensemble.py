@@ -27,7 +27,7 @@ from .model import (AtomParams, EnvironmentConfig, LaserParams,
                     potential_atom, potential_env)
 from .sampler import StructureParams, sample_ensemble
 from .tdse import (Grid, PropagationRecord, PropagatorPlan, absorber_mask,
-                   ground_state, propagate)
+                   check_ground_state_depth, ground_state, propagate)
 
 
 class PropagationFailure(RuntimeError):
@@ -90,6 +90,11 @@ class EnsembleSpec:
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         absorber_mask(self.grid(), self.absorber_band)  # raises if unusable
+        try:
+            check_ground_state_depth(float(potential_atom(0.0, self.atom)))
+        except ValueError as exc:
+            raise ValueError(f"softening {self.atom.softening!r}: "
+                             f"{exc}") from None
 
     def grid(self) -> Grid:
         return Grid(self.x_min, self.x_max, self.n_grid)
@@ -187,7 +192,8 @@ def purity_series(times: np.ndarray, snapshots: np.ndarray, grid: Grid,
                                                          np.ndarray]:
     """Purity at each snapshot time, for the full state and the masked state.
 
-    `snapshots` is (n_s, n_c, n), aligned with `times`.  Returns
+    `snapshots` is an (n_s, n_c, n) array or any sequence of n_s (n_c, n)
+    probes, aligned with `times`; each probe is taken once.  Returns
     (times, P_total, P_masked); the masked series is all-ones when no mask
     is given.
     """
@@ -195,9 +201,10 @@ def purity_series(times: np.ndarray, snapshots: np.ndarray, grid: Grid,
     p_tot = np.empty(times.size)
     p_ph = np.ones(times.size)
     for k in range(times.size):
-        p_tot[k] = purity(snapshots[k], grid.dx)
+        probe = snapshots[k]
+        p_tot[k] = purity(probe, grid.dx)
         if mvals is not None:
-            p_ph[k] = purity(snapshots[k], grid.dx, mvals)
+            p_ph[k] = purity(probe, grid.dx, mvals)
     return times, p_tot, p_ph
 
 
@@ -216,8 +223,9 @@ def density_matrix_map(snapshots: np.ndarray, grid: Grid,
                        stride: int = 1) -> SpatialMap:
     """|ρ(x, x')|² of the mixture on a strided subgrid.
 
-    ρ(x, x') = (1/N_c) Σ_i ψ_i(x) ψ_i*(x'); the subgrid bounds memory, which
-    would otherwise grow as the square of the grid size.
+    `snapshots` is one (n_c, n) probe.  ρ(x, x') = (1/N_c) Σ_i ψ_i(x)
+    ψ_i*(x'); the subgrid bounds memory, which would otherwise grow as the
+    square of the grid size.
     """
     a = np.atleast_2d(np.asarray(snapshots))
     if x_range is None:
@@ -235,7 +243,8 @@ def density_matrix_map(snapshots: np.ndarray, grid: Grid,
 
 def probability_density_map(times: np.ndarray, snapshots: np.ndarray,
                             grid: Grid) -> SpatialMap:
-    """Ensemble-averaged |ψ(x, t)|² of (n_s, n_c, n) snapshots at `times`.
+    """Ensemble-averaged |ψ(x, t)|² of snapshots at `times`: an
+    (n_s, n_c, n) array or any sequence of n_s (n_c, n) probes.
 
     One probe at a time, so no temporary as large as the snapshots exists.
     """

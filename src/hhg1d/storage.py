@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import struct
 import time
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -122,13 +124,6 @@ def _snapshot_records(x_min, x_max, times, states) -> np.ndarray:
     return recs
 
 
-def append_wavefunction(fh, x_min: float, x_max: float, time_stamp: float,
-                        amplitudes: np.ndarray):
-    """Append one snapshot record to a file open for binary writing."""
-    amplitudes = np.asarray(amplitudes, dtype=complex).reshape(1, -1)
-    fh.write(_snapshot_records(x_min, x_max, [time_stamp], amplitudes).data)
-
-
 def write_wavefunctions(path, x_min: float, x_max: float,
                         times, states) -> None:
     """One snapshot record per (time, state) pair, in a new file."""
@@ -175,6 +170,65 @@ def read_wavefunctions(path) -> tuple[float, float, np.ndarray, np.ndarray]:
     return x_min, x_max, recs["t"].copy(), recs["psi"]
 
 
+class SnapshotSet(Sequence):
+    """The snapshot files of an ensemble read one probe at a time: item k
+    is record k of every file, a contiguous complex (n_files, n) array.
+
+    Opening the set checks that every file has the size of the first, a
+    whole number of its records.  Reading a probe takes record k of each
+    file with positional reads, its header into one reused buffer and its
+    amplitudes straight into the probe's row.  Every header must match the
+    first file's record k byte for byte (magic, version, kind, grid, n and
+    time), and that one must match the first file's first record in all
+    but the time.  Files are not memory-mapped, since mapped pages count
+    in the process's resident set just as read ones do.
+    """
+
+    def __init__(self, paths):
+        self.paths = [Path(p) for p in paths]
+        first = self.paths[0]
+        size = first.stat().st_size
+        head = np.fromfile(first, dtype=_snapshot_record(0), count=1)
+        _check_snapshot_heads(first, head)
+        self._n = int(head["n"][0]) if head.size else 0
+        self._record = _snapshot_record(self._n).itemsize
+        if size % self._record:
+            raise ValueError(f"{first}: {size} bytes are not a whole number "
+                             f"of {self._record}-byte snapshot records")
+        for path in self.paths[1:]:
+            if path.stat().st_size != size:
+                raise ValueError(f"{path}: {path.stat().st_size} bytes, but "
+                                 f"{first.name} has {size}")
+        self._n_probes = size // self._record
+        self._head = bytearray(head.itemsize)
+        # every header field but the time, which changes from probe to probe
+        self._t_at = head.dtype.fields["t"][1]
+        self._fixed_head = head.tobytes()[:self._t_at]
+
+    def __len__(self) -> int:
+        return self._n_probes
+
+    def __getitem__(self, k) -> np.ndarray:
+        k = range(self._n_probes)[operator.index(k)]
+        head = self._head
+        states = np.empty((len(self.paths), self._n), dtype=complex)
+        rows = states.view(np.uint8).reshape(len(self.paths), -1)
+        for i, (path, row) in enumerate(zip(self.paths, rows)):
+            with open(path, "rb", buffering=0) as fh:
+                fh.seek(k * self._record)
+                got = fh.readinto(head) + fh.readinto(row)
+            if got != self._record:
+                raise ValueError(f"{path}: file ends inside record {k}")
+            if i == 0:
+                ref = bytes(head)
+            if head != ref or head[:self._t_at] != self._fixed_head:
+                _check_snapshot_heads(
+                    path, np.frombuffer(head, dtype=_snapshot_record(0)))
+                raise ValueError(f"{path} holds other times or another grid "
+                                 f"than {self.paths[0].name}")
+        return states
+
+
 def write_map(path, row_axis, col_axis, values, row_label: str = "",
               col_label: str = "") -> None:
     """2D field with labelled axes, row-major values."""
@@ -190,9 +244,9 @@ def write_map(path, row_axis, col_axis, values, row_label: str = "",
             fh.write(struct.pack("<I", len(enc)))
             fh.write(enc)
         fh.write(struct.pack("<QQ", row_axis.size, col_axis.size))
-        fh.write(row_axis.astype("<f8").tobytes())
-        fh.write(col_axis.astype("<f8").tobytes())
-        fh.write(values.astype("<f8").tobytes())
+        # written from the arrays themselves, without a bytes copy
+        for a in (row_axis, col_axis, values):
+            fh.write(np.ascontiguousarray(a, dtype="<f8").data)
 
 
 def read_map(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, str, str]:

@@ -17,6 +17,7 @@ side by side.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -253,6 +254,21 @@ def rayleigh_energy(psi: np.ndarray, grid: Grid, potential: np.ndarray):
     return (kinetic_energy(psi, grid) + pot) / w
 
 
+_GROUND_STATE_DTAUS = (0.5, 0.1, 0.02, 0.005)
+
+
+def check_ground_state_depth(v_min: float) -> None:
+    """Raise ValueError when the potential minimum v_min overflows the first
+    imaginary-time stage: one iteration multiplies ψ by e^{-dτ·v_min/2}
+    twice, and the norm then sums |ψ|², so e^{-2dτ·v_min} must be finite,
+    or `ground_state` meets non-finite energies."""
+    exponent = -2.0 * _GROUND_STATE_DTAUS[0] * v_min
+    if exponent >= math.log(sys.float_info.max):
+        raise ValueError(f"potential minimum {v_min:g} overflows the "
+                         f"imaginary-time decay: |e^(-dτV)|² = "
+                         f"e^{exponent:.6g} at dτ = {_GROUND_STATE_DTAUS[0]}")
+
+
 def ground_state(grid: Grid, potential: Callable | np.ndarray,
                  max_iter: int = 20000) -> tuple[np.ndarray, float]:
     """Lowest eigenstate by imaginary-time split-operator propagation.
@@ -276,7 +292,7 @@ def ground_state(grid: Grid, potential: Callable | np.ndarray,
     psi /= np.sqrt(state_norm(psi, grid.dx))
     energy = float(rayleigh_energy(psi, grid, v))
     total_iter = 0
-    for dtau in (0.5, 0.1, 0.02, 0.005):
+    for dtau in _GROUND_STATE_DTAUS:
         kin_decay = np.exp(-0.5 * dtau * grid.p**2)
         pot_half = np.exp(-0.5 * dtau * v)
         while True:

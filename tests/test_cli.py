@@ -1,14 +1,17 @@
 import hashlib
 import json
 import shutil
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hhg1d.cli import main
-from hhg1d.storage import (read_csv, read_map, read_wavefunctions, write_map,
-                           write_wavefunctions)
+from hhg1d.config import RunConfig, parse_config
+from hhg1d.storage import (Manifest, read_csv, read_map, read_wavefunctions,
+                           write_map, write_wavefunctions)
 
 TINY_CONFIG = """
 [laser]
@@ -233,17 +236,27 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 4
 
-    def test_non_finite_ground_state_is_4_at_first_iteration(self, tmp_path,
-                                                             capsys):
+    def test_overflowing_softening_is_2_before_out_exists(self, tmp_path,
+                                                          capsys):
+        # V(0) = -1e150: the first stage's e^{-dτV/2} overflows
         cfg = tmp_path / "soft.cfg"
         cfg.write_text(TINY_CONFIG + "[atom]\nsoftening = 1e-300\n")
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(["ground-state", "--config", str(cfg),
                        "--out", str(tmp_path / "o")])
-        assert rc == 4
+        assert rc == 2
+        assert caught == []
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: imaginary-time energy is "
-                              "not finite at dτ = 0.5, iteration 1 ")
+        assert err.startswith("configuration error: softening 1e-300")
+        assert "Warning" not in err
+        assert not (tmp_path / "o").exists()
+        # the reference softening passes; the bound, |e^{-dτV(0)}|² finite,
+        # falls between 1.9e-6 (nan energy at the first iteration) and 2e-6
+        RunConfig()
+        parse_config(TINY_CONFIG + "[atom]\nsoftening = 2e-6\n")
+        with pytest.raises(ValueError, match="softening 1.9e-06"):
+            parse_config(TINY_CONFIG + "[atom]\nsoftening = 1.9e-6\n")
 
 
 class TestRecordChecks:
@@ -290,6 +303,24 @@ class TestRecordChecks:
         assert not (tmp_path / "out").exists()
         assert tree_digest(records, skip=()) == before
 
+    @pytest.mark.parametrize("command", ["purity", "density-map"])
+    def test_one_record_at_another_time_is_3(self, command, records,
+                                             tmp_path, capsys):
+        # not the middle probe, which density-map reads first
+        snap = records / "snapshots" / "config_0001.bin"
+        x_min, x_max, times, states = read_wavefunctions(snap)
+        times[1] += 50.0
+        assert 1 != len(times) // 2
+        write_wavefunctions(snap, x_min, x_max, times, states)
+        before = tree_digest(records, skip=())
+        capsys.readouterr()
+        assert main([command, "--records", str(records),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "missing artifact: " in err and "config_0001.bin" in err
+        assert not (tmp_path / "out").exists()
+        assert tree_digest(records, skip=()) == before
+
     @pytest.mark.parametrize("command, name, damage", [
         ("purity", "snapshots/config_0001.bin", "truncate"),
         ("spectrum", "accel_configs.bin", "truncate"),
@@ -313,6 +344,49 @@ class TestRecordChecks:
         assert "missing artifact: " in err and where in err
         assert not (tmp_path / "out").exists()
         assert tree_digest(records, skip=()) == before
+
+
+class TestBoundedMemory:
+    """purity and density-map hold one probe of the snapshot set at a
+    time, never the whole set."""
+
+    N_FILES = 128
+
+    @pytest.fixture(scope="class")
+    def big_records(self, tiny_records, tmp_path_factory):
+        # the tiny run's manifest and grid, with N_FILES snapshot files
+        rdir = Path(shutil.copytree(tiny_records / "records",
+                                    tmp_path_factory.mktemp("big") / "r"))
+        snaps = rdir / "snapshots"
+        x_min, x_max, times, states = read_wavefunctions(
+            snaps / "config_0000.bin")
+        rng = np.random.default_rng(5)
+        manifest = Manifest.load(rdir)
+        for i in range(self.N_FILES):
+            path = snaps / f"config_{i:04d}.bin"
+            noise = rng.normal(size=(states.shape[0], 2 * states.shape[1]))
+            write_wavefunctions(path, x_min, x_max, times,
+                                states + 1e-3 * noise.view(complex))
+            manifest.record_output(path)
+        manifest.save()
+        total = sum(f.stat().st_size for f in snaps.iterdir())
+        assert total > 10 * 2**20
+        return rdir, total
+
+    @pytest.mark.parametrize("command", ["purity", "density-map"])
+    def test_peak_below_quarter_of_snapshots(self, command, big_records,
+                                             tmp_path):
+        rdir, total = big_records
+        import scipy.optimize  # noqa: F401 -- imported untraced: not states
+        tracemalloc.start()
+        try:
+            rc = main([command, "--records", str(rdir),
+                       "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < total / 4
 
 
 class TestPipeline:

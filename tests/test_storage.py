@@ -1,13 +1,15 @@
+import re
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hhg1d.storage import (Manifest, MissingArtifactError,
-                           append_wavefunction, read_csv, read_map,
-                           read_wavefunctions, sha256_of, write_csv,
-                           write_map, write_wavefunctions)
+from hhg1d.ensemble import MaskSpec, purity_series
+from hhg1d.storage import (Manifest, MissingArtifactError, SnapshotSet,
+                           read_csv, read_map, read_wavefunctions, sha256_of,
+                           write_csv, write_map, write_wavefunctions)
+from hhg1d.tdse import Grid
 
 
 class TestCsv:
@@ -97,21 +99,90 @@ class TestWavefunctions:
         path = tmp_path / "w.bin"
         write_wavefunctions(path, -12.5, 7.25, times, states)
         assert path.read_bytes() == expected
-        with open(tmp_path / "a.bin", "wb") as fh:
-            for t, psi in zip(times, states):
-                append_wavefunction(fh, -12.5, 7.25, t, psi)
-        assert (tmp_path / "a.bin").read_bytes() == expected
 
     @pytest.mark.parametrize("x_max, n", [(12.0, 64), (10.0, 32)])
     def test_mixed_grids(self, tmp_path, x_max, n):
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        write_wavefunctions(first, -10.0, 10.0, [0.0],
+                            [np.ones(64, dtype=complex)])
+        write_wavefunctions(second, -10.0, x_max, [1.0],
+                            [np.ones(n, dtype=complex)])
         path = tmp_path / "snaps.bin"
-        with open(path, "wb") as fh:
-            append_wavefunction(fh, -10.0, 10.0, 0.0,
-                                np.ones(64, dtype=complex))
-            append_wavefunction(fh, -10.0, x_max, 1.0,
-                                np.ones(n, dtype=complex))
+        path.write_bytes(first.read_bytes() + second.read_bytes())
         with pytest.raises(ValueError):
             read_wavefunctions(path)
+
+
+def write_snapshot_set(directory, n_files, times, n, seed=0):
+    """n_files snapshot files on one grid and time axis; the states, stacked
+    as (n_s, n_files, n)."""
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(len(times), n_files, 2 * n)).view(complex)
+    for i in range(n_files):
+        write_wavefunctions(directory / f"config_{i:04d}.bin", -10.0, 10.0,
+                            times, states[:, i])
+    return sorted(directory.glob("config_*.bin")), states
+
+
+class TestSnapshotSet:
+    def test_probe_is_stacked_files_bit_for_bit(self, tmp_path):
+        files, states = write_snapshot_set(tmp_path, 5, [0.0, 0.5, 1.0], 16)
+        probes = SnapshotSet(files)
+        stacked = np.stack([read_wavefunctions(f)[3] for f in files], axis=1)
+        assert len(probes) == 3
+        for k in range(3):
+            probe = probes[k]
+            assert probe.flags.c_contiguous and probe.shape == (5, 16)
+            assert probe.tobytes() == stacked[k].tobytes()
+        assert probes[-1].tobytes() == stacked[2].tobytes()
+        assert np.stack(list(probes)).tobytes() == states.tobytes()
+        with pytest.raises(IndexError):
+            probes[3]
+
+    def test_purity_series_on_probes_is_bitwise(self, tmp_path):
+        times = np.linspace(0.0, 4.0, 6)
+        files, states = write_snapshot_set(tmp_path, 7, times, 32, seed=1)
+        grid, mask = Grid(-10.0, 10.0, 32), MaskSpec(r0=3.0, width=2.0)
+        lazy = purity_series(times, SnapshotSet(files), grid, mask)
+        eager = purity_series(times, states, grid, mask)
+        for a, b in zip(lazy, eager):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("cut", [3, 44 + 16 * 8])
+    def test_size_differs_from_first_file(self, tmp_path, cut):
+        files, _ = write_snapshot_set(tmp_path, 3, [0.0, 1.0], 8)
+        files[2].write_bytes(files[2].read_bytes()[:-cut])
+        with pytest.raises(ValueError, match="config_0002.bin"):
+            SnapshotSet(files)
+
+    def test_first_file_not_whole_records(self, tmp_path):
+        files, _ = write_snapshot_set(tmp_path, 2, [0.0, 1.0], 8)
+        for f in files:
+            f.write_bytes(f.read_bytes()[:-3])
+        with pytest.raises(ValueError, match="config_0000.bin"):
+            SnapshotSet(files)
+
+    # offsets into the second record of one file: magic, version, kind,
+    # x_min, x_max, n and t; a time changed in config_0000 is named as the
+    # other files' mismatch
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("offset, value", [
+        (0, b"HHG2"), (4, struct.pack("<I", 2)), (8, struct.pack("<I", 2)),
+        (12, struct.pack("<d", -9.0)), (20, struct.pack("<d", 9.0)),
+        (28, struct.pack("<Q", 7)), (36, struct.pack("<d", 1.5))],
+        ids=["magic", "version", "kind", "x_min", "x_max", "n", "t"])
+    def test_header_differs(self, tmp_path, which, offset, value):
+        files, _ = write_snapshot_set(tmp_path, 3, [0.0, 1.0, 2.0], 8)
+        raw = bytearray(files[which].read_bytes())
+        at = 44 + 16 * 8 + offset
+        raw[at:at + len(value)] = value
+        files[which].write_bytes(bytes(raw))
+        probes = SnapshotSet(files)
+        assert probes[0].shape == (3, 8)
+        named = files[1 if offset == 36 else which]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(named))}"):
+            probes[1]
+        assert probes[2].shape == (3, 8)
 
 
 class TestMaps:
@@ -156,6 +227,18 @@ class TestMaps:
             tracemalloc.stop()
         np.testing.assert_array_equal(read, values)
         assert values.nbytes <= peak <= 1.2 * values.nbytes
+
+    def test_writes_without_a_copy(self, tmp_path):
+        path = tmp_path / "map.bin"
+        values = np.random.default_rng(4).normal(size=(2000, 256))
+        tracemalloc.start()
+        try:
+            write_map(path, np.arange(2000.0), np.arange(256.0), values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * values.nbytes
+        np.testing.assert_array_equal(read_map(path)[2], values)
 
     def test_wrong_kind(self, tmp_path):
         path = tmp_path / "wf.bin"
