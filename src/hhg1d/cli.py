@@ -287,7 +287,6 @@ def cmd_density_map(args) -> int:
     if args.time is not None and not np.isfinite(args.time):
         raise ConfigError(f"--time must be finite, got {args.time:g}")
     run = _Analysis(args)
-    times, snaps = run.snapshots()
     grid = run.grid
     x_range = None
     if args.x_lo is not None:
@@ -299,6 +298,7 @@ def cmd_density_map(args) -> int:
                               f"(spacing {grid.dx:g})")
         x_range = (args.x_lo, args.x_hi)
 
+    times, snaps = run.snapshots()
     idx = int(np.argmin(np.abs(times - args.time))) if args.time is not None \
         else len(times) // 2
     dmap = density_matrix_map(snaps[idx], grid,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -83,18 +84,38 @@ def return_energy(t_r, t_i: float, laser: LaserParams):
     return 2.0 * up * (np.cos(w * t_r) - np.cos(w * t_i)) ** 2
 
 
-def _bracket_roots(fn, t_from: float, horizon: float, mesh_per_cycle: int,
-                   laser: LaserParams, levels: list[float]
-                   ) -> list[np.ndarray]:
+def _sfa_position_float(t_i: float, laser: LaserParams):
+    """`sfa_position` from t_i as a function of one Python float, with the
+    launch terms computed once.
+
+    It repeats the IEEE operations of `_field_only_x` in their order, with
+    math.sin and math.cos, which agree with numpy's bit for bit, so it
+    returns the bits of the array evaluation without numpy's per-call cost.
+    """
+    w, f = laser.omega_L, laser.F_L
+    drift = 0.0 - (f / w) * math.cos(w * t_i)
+    quiver = f / w**2
+    sin_i = math.sin(w * t_i)
+    sin = math.sin
+
+    def x_at(t):
+        return drift * (t - t_i) + quiver * (sin(w * t) - sin_i) + 0.0
+
+    return x_at
+
+
+def _bracket_roots(fn, fn_float, t_from: float, horizon: float,
+                   mesh_per_cycle: int, laser: LaserParams,
+                   levels: list[float]) -> list[np.ndarray]:
     """For each level c, all roots of fn(t) = c within `horizon` cycles
     after t_from, excluding t_from itself, by mesh + bisection.
 
-    fn is evaluated once on the whole mesh.  Each level's brackets are then
-    bisected in lockstep on Python floats, calling fn on one float at a
-    time, until every one of them is narrower than ROOT_TOL: at a few
-    brackets per level that costs less than numpy's per-call overhead on
-    arrays of that size.  A mesh value equal to c is a root; a zero product
-    of signs is no sign change.
+    fn is evaluated once on the whole mesh array.  Each level's brackets
+    are then bisected in lockstep, calling fn_float, which must return the
+    bits of fn on one Python float, until every one of them is narrower
+    than ROOT_TOL: at a few brackets per level that costs less than numpy's
+    per-call overhead on arrays of that size.  A mesh value equal to c is a
+    root; a zero product of signs is no sign change.
     """
     n_mesh = int(round(mesh_per_cycle * horizon))
     span = horizon * laser.period
@@ -103,14 +124,15 @@ def _bracket_roots(fn, t_from: float, horizon: float, mesh_per_cycle: int,
     roots = []
     for level in levels:
         v = on_mesh - level
-        flip = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)
+        sign = np.sign(v)
+        flip = np.flatnonzero(sign[:-1] * sign[1:] < 0)
         exact = np.flatnonzero(v[1:] == 0.0)
         lo, hi = t[flip].tolist(), t[flip + 1].tolist()
         v_lo = v[flip].tolist()
-        while lo and max(h - l for l, h in zip(lo, hi)) > ROOT_TOL:
+        while lo and max(map(sub, hi, lo)) > ROOT_TOL:
             for k in range(len(lo)):
                 mid = 0.5 * (lo[k] + hi[k])
-                v_mid = float(fn(mid)) - level
+                v_mid = fn_float(mid) - level
                 if v_lo[k] < 0.0 < v_mid or v_mid < 0.0 < v_lo[k]:
                     hi[k] = mid
                 else:
@@ -133,7 +155,8 @@ def find_returns(t_i: float, ell: float, laser: LaserParams,
         raise ValueError("return distance must be nonnegative")
     targets = [0.0] if ell == 0.0 else [ell, -ell]
     roots = _bracket_roots(lambda t: _field_only_x(t, t_i, 0.0, 0.0, laser),
-                           t_i, horizon, mesh_per_cycle, laser, targets)
+                           _sfa_position_float(t_i, laser), t_i, horizon,
+                           mesh_per_cycle, laser, targets)
     side = np.repeat(np.sign(targets), [r.size for r in roots]).astype(int)
     t_r = np.concatenate(roots)
     order = np.argsort(t_r, kind="stable")
@@ -185,8 +208,9 @@ class BackscatterTrajectory:
                        ) -> tuple[np.ndarray, np.ndarray]:
         """Arrival times at x = 0 after the reversal, and the kinetic
         energies there."""
-        (t_r,) = _bracket_roots(self.position, self.t_s, horizon,
-                                mesh_per_cycle, self.laser, [0.0])
+        (t_r,) = _bracket_roots(self.position,
+                                lambda t: float(self.position(t)), self.t_s,
+                                horizon, mesh_per_cycle, self.laser, [0.0])
         return t_r, 0.5 * self.momentum(t_r) ** 2
 
 
@@ -195,10 +219,12 @@ def _drift_kick(z0, t0: float, t1: float, laser: LaserParams,
                 tangent: bool) -> tuple[np.ndarray, np.ndarray]:
     """Equal drift-kick steps of at most FLOW_STEP from z0 at t0 to t1.
 
-    With `tangent` the variational equations of the same composition
-    (drift: δx += a h δp; kick: δp -= b h V''(x) δx) carry the tangent map
-    M along, so M is the exact Jacobian of the discrete flow map; without
-    it M stays the identity.  Returns (z(t1), M).
+    Each step is a first drift a_0 h, then six (b_j h, c_j h, a_{j+1} h)
+    triples: a kick of weight b_j h at the time t + c_j h, followed by a
+    drift a_{j+1} h.  With `tangent` the variational equations of the same
+    composition (drift: δx += a h δp; kick: δp -= b h V''(x) δx) carry the
+    tangent map M along, so M is the exact Jacobian of the discrete flow
+    map; without it M stays the identity.  Returns (z(t1), M).
     """
     span = t1 - t0
     n = max(1, int(np.ceil(abs(span) / FLOW_STEP))) if span else 0
@@ -208,30 +234,31 @@ def _drift_kick(z0, t0: float, t1: float, laser: LaserParams,
     w, f = laser.omega_L, laser.F_L
     alpha = atom.softening if atom is not None else None
     sin = math.sin
-    # python floats: the scalar loop runs faster on them than on numpy's
-    ah = (DRIFT_COEFFS * h).tolist()
-    bh = (KICK_COEFFS * h).tolist()
-    ch = (KICK_TIMES * h).tolist()
+    # python floats, and the stage coefficients as one tuple per kick: the
+    # scalar loop runs faster on them than on numpy's or on indexed lists
+    a0, *a_rest = (DRIFT_COEFFS * h).tolist()
+    stages = tuple(zip((KICK_COEFFS * h).tolist(),
+                       (KICK_TIMES * h).tolist(), a_rest))
     for k in range(n):
         t = t0 + k * h
-        x += ah[0] * p
+        x += a0 * p
         if tangent:
-            m00 += ah[0] * m10
-            m01 += ah[0] * m11
-        for j in range(6):
-            force = f * sin(w * (t + ch[j]))
+            m00 += a0 * m10
+            m01 += a0 * m11
+        for b, c, a in stages:
+            force = f * sin(w * (t + c))
             if alpha is not None:
                 r2 = x * x + alpha
                 force += x * r2**-1.5
                 if tangent:
-                    curv = bh[j] * (alpha - 2.0 * x * x) * r2**-2.5
+                    curv = b * (alpha - 2.0 * x * x) * r2**-2.5
                     m10 -= curv * m00
                     m11 -= curv * m01
-            p -= bh[j] * force
-            x += ah[j + 1] * p
+            p -= b * force
+            x += a * p
             if tangent:
-                m00 += ah[j + 1] * m10
-                m01 += ah[j + 1] * m11
+                m00 += a * m10
+                m01 += a * m11
     return np.array([x, p]), np.array([[m00, m01], [m10, m11]])
 
 

@@ -38,10 +38,14 @@ class MissingArtifactError(FileNotFoundError):
 
 
 def sha256_of(path) -> str:
+    # one 1 MiB buffer read into and hashed in place: no bytes object per
+    # chunk
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buf = bytearray(1 << 20)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 

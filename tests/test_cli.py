@@ -187,6 +187,17 @@ class TestExitCodes:
         assert tree_digest(tiny_records / "records", skip=()) == before
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", sorted(
+        c for c in BAD_INPUTS if c.startswith("density_map")))
+    def test_density_map_refuses_before_hashing(self, case, tiny_records,
+                                                tmp_path, monkeypatch):
+        hashed = []
+        monkeypatch.setattr("hhg1d.storage.sha256_of", hashed.append)
+        argv = [a.format(records=tiny_records / "records")
+                for a in BAD_INPUTS[case]]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert hashed == []
+
     def test_pair_correlation_needs_one_source(self, tiny_records, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pair-correlation"])

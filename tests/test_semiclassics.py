@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from hhg1d.model import (AtomParams, LaserParams, ponderomotive_energy,
                          potential_atom)
-from hhg1d.semiclassics import (MESH_PER_CYCLE, ROOT_TOL,
-                                BackscatterTrajectory, OrbitError, classify,
-                                classical_flow, find_periodic_orbit,
+from hhg1d.semiclassics import (FLOW_STEP, MESH_PER_CYCLE, ROOT_TOL,
+                                BackscatterTrajectory, OrbitError, _drift_kick,
+                                _sfa_position_float, classify, classical_flow,
+                                find_periodic_orbit,
                                 find_returns, max_return_energy, monodromy,
                                 overlay_orbit, quiver_guess, return_energy,
                                 sfa_momentum, sfa_position, symmetry_partner)
+from hhg1d.splitting import DRIFT_COEFFS, KICK_COEFFS, KICK_TIMES
 
 LASER = LaserParams(F_L=0.15, omega_L=0.044)
 ATOM = AtomParams()
@@ -49,6 +53,42 @@ def returns_on_arrays(t_i, ell, horizon):
     return t_r[order], e_r, side[order]
 
 
+def drift_kick_indexed(z0, t0, t1, laser, atom, tangent):
+    """Reference flow: the composition of `_drift_kick`, with the stage
+    coefficients held in three lists indexed by stage."""
+    span = t1 - t0
+    n = max(1, int(np.ceil(abs(span) / FLOW_STEP))) if span else 0
+    h = span / max(n, 1)
+    x, p = float(z0[0]), float(z0[1])
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    w, f = laser.omega_L, laser.F_L
+    alpha = atom.softening if atom is not None else None
+    ah = (DRIFT_COEFFS * h).tolist()
+    bh = (KICK_COEFFS * h).tolist()
+    ch = (KICK_TIMES * h).tolist()
+    for k in range(n):
+        t = t0 + k * h
+        x += ah[0] * p
+        if tangent:
+            m00 += ah[0] * m10
+            m01 += ah[0] * m11
+        for j in range(6):
+            force = f * math.sin(w * (t + ch[j]))
+            if alpha is not None:
+                r2 = x * x + alpha
+                force += x * r2**-1.5
+                if tangent:
+                    curv = bh[j] * (alpha - 2.0 * x * x) * r2**-2.5
+                    m10 -= curv * m00
+                    m11 -= curv * m01
+            p -= bh[j] * force
+            x += ah[j + 1] * p
+            if tangent:
+                m00 += ah[j + 1] * m10
+                m01 += ah[j + 1] * m11
+    return np.array([x, p]), np.array([[m00, m01], [m10, m11]])
+
+
 class TestSfaTrajectory:
     def test_launch_conditions(self):
         for t_i in (0.13 * T, 0.41 * T, 0.77 * T):
@@ -60,6 +100,14 @@ class TestSfaTrajectory:
         t = np.linspace(t_i, t_i + 10 * T, 4000)
         x = sfa_position(t, t_i, LASER)
         assert np.abs(x).max() <= 2.01 * LASER.F_L / LASER.omega_L**2
+
+    def test_float_position_is_bitwise_array_position(self):
+        rng = np.random.default_rng(36)
+        for t_i in rng.uniform(0, T, 20):
+            x_at = _sfa_position_float(t_i, LASER)
+            t = t_i + rng.uniform(0, 2.5 * T, 500)
+            got = np.array([x_at(s) for s in t.tolist()])
+            assert got.tobytes() == sfa_position(t, t_i, LASER).tobytes()
 
     def test_energy_identity(self):
         rng = np.random.default_rng(2)
@@ -222,6 +270,25 @@ class TestClassicalFlow:
         b = classical_flow(-z0, 0.3 * T + 0.5 * T, 0.9 * T + 0.5 * T,
                            LASER, ATOM)
         assert np.linalg.norm(b + a) < 1e-9
+
+
+    @pytest.mark.parametrize("atom", [None, ATOM],
+                             ids=["field_only", "soft_core"])
+    @pytest.mark.parametrize("t0, t1", [(0.2 * T, 1.57 * T),
+                                        (1.3 * T, 0.47 * T),
+                                        (0.6 * T, 0.6 * T)],
+                             ids=["forward", "backward", "zero"])
+    def test_bitwise_equal_to_indexed_loop(self, t0, t1, atom):
+        z0 = np.array([2.5, -0.4])
+        for tangent in (False, True):
+            got = _drift_kick(z0, t0, t1, LASER, atom, tangent)
+            want = drift_kick_indexed(z0, t0, t1, LASER, atom, tangent)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert classical_flow(z0, t0, t1, LASER, atom).tobytes() == \
+            drift_kick_indexed(z0, t0, t1, LASER, atom, False)[0].tobytes()
+        got = monodromy(z0, t0, LASER, atom)
+        want = drift_kick_indexed(z0, t0, t0 + T, LASER, atom, True)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 class TestMonodromy:

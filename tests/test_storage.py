@@ -1,3 +1,4 @@
+import hashlib
 import re
 import struct
 import tracemalloc
@@ -278,3 +279,10 @@ class TestManifest:
         f.write_bytes(b"abc")
         assert sha256_of(f) == ("ba7816bf8f01cfea414140de5dae2223"
                                 "b00361a396177a9cb410ff61f20015ad")
+
+    @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20,
+                                      (1 << 20) + 1, 3 * (1 << 20) + 7])
+    def test_sha256_at_chunk_edges(self, tmp_path, size):
+        f = tmp_path / "f"
+        f.write_bytes(np.random.default_rng(size).bytes(size))
+        assert sha256_of(f) == hashlib.sha256(f.read_bytes()).hexdigest()
