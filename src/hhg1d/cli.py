@@ -40,9 +40,9 @@ from .semiclassics import (MESH_PER_CYCLE, OrbitError, find_periodic_orbit,
                            find_returns, max_return_energy, quiver_guess,
                            symmetry_partner)
 from .spectra import fit_purity_decay, gabor, hhg_spectrum
-from .storage import (Manifest, MissingArtifactError, SnapshotSet, read_map,
-                      read_wavefunctions, write_csv, write_map,
-                      write_wavefunctions)
+from .storage import (MalformedRecordError, Manifest, MissingArtifactError,
+                      SnapshotSet, read_map, read_wavefunctions, write_csv,
+                      write_map, write_wavefunctions)
 from .tdse import ConvergenceError, ground_state
 
 EXIT_CONFIG = 2
@@ -91,15 +91,6 @@ def _verify(manifest: Manifest, *paths: Path) -> None:
     for name in manifest.verify_outputs(names):
         print(f"warning: checksum mismatch for {name} (records were edited?)",
               file=sys.stderr)
-
-
-def _read(reader, source):
-    """reader(source); a malformed record file exits 3 like a missing one,
-    with the reader's message, which names the file."""
-    try:
-        return reader(source)
-    except ValueError as exc:
-        raise MissingArtifactError(f"malformed record file: {exc}") from None
 
 
 def cmd_ground_state(args) -> int:
@@ -160,13 +151,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-class _Probes(SnapshotSet):
-    """A SnapshotSet whose malformed records exit 3, like a missing file."""
-
-    def __getitem__(self, k) -> np.ndarray:
-        return _read(super().__getitem__, k)
-
-
 class _Analysis:
     """A stored run read by an analysis command, and where its outputs go.
 
@@ -190,7 +174,10 @@ class _Analysis:
         """Time axis and the ensemble-mean or one member's acceleration."""
         path = self.rdir / "accel_configs.bin"
         _verify(self.manifest, path)
-        t_axis, _, accel, _, _ = _read(read_map, path)
+        t_axis, _, accel, _, _ = read_map(path)
+        if t_axis.size < 2:
+            raise MalformedRecordError(f"{path}: {t_axis.size} time row(s), "
+                                       f"but a spectrum needs two or more")
         if member is None:
             return t_axis, accel.mean(axis=1)
         if not 0 <= member < accel.shape[1]:
@@ -198,7 +185,7 @@ class _Analysis:
                               f"index of these records (0..{accel.shape[1] - 1})")
         return t_axis, accel[:, member]
 
-    def snapshots(self) -> tuple[np.ndarray, _Probes]:
+    def snapshots(self) -> tuple[np.ndarray, SnapshotSet]:
         """Snapshot times and the stored states, read one (n_c, n) probe
         at a time.
 
@@ -210,8 +197,7 @@ class _Analysis:
         if not files:
             raise MissingArtifactError(f"no snapshots under {snap_dir}")
         _verify(self.manifest, *files)
-        times = _read(read_wavefunctions, files[0])[2]
-        return times, _read(_Probes, files)
+        return read_wavefunctions(files[0])[2], SnapshotSet(files)
 
     def save(self, *paths: Path) -> None:
         if self.out == self.rdir:
@@ -395,7 +381,7 @@ def cmd_pair_correlation(args) -> int:
         _verify(manifest, env)
     if not env.is_file():
         raise MissingArtifactError(f"no environment file {env}")
-    configs, _ = _read(load_configurations, env)
+    configs, _ = load_configurations(env)
     out = Path(args.out) if args.out else env.parent
     out.mkdir(parents=True, exist_ok=True)
     edges, mass = pair_correlation(configs, args.bin_width, args.r_max)
@@ -478,6 +464,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except MissingArtifactError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
+        return EXIT_MISSING
+    except MalformedRecordError as exc:
+        print(f"missing artifact: malformed record file: {exc}",
+              file=sys.stderr)
         return EXIT_MISSING
     except (PropagationFailure, ConvergenceError, OrbitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ bitwise independent of the worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +88,9 @@ class EnsembleSpec:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+        if round(self.laser.duration / self.dt) < self.record_stride:
+            raise ValueError(f"a pulse shorter than record_stride = "
+                             f"{self.record_stride} steps records one sample")
         absorber_mask(self.grid(), self.absorber_band)  # raises if unusable
         try:
             check_ground_state_depth(float(potential_atom(0.0, self.atom)))
@@ -158,6 +160,8 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleRecord:
     if len(blocks) == 1:
         parts = [_propagate_block(*blocks[0])]
     else:
+        # imported here: a process without a pool needs no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             parts = list(pool.map(_propagate_block, *zip(*blocks)))
     # axis 1 is the configuration axis; a lone block is used without a copy

@@ -104,10 +104,6 @@ class EnvironmentConfig:
             if not (pos[j - 1] < 0.0 < pos[j]):
                 raise ValueError("the two central positions must straddle the origin")
 
-    @property
-    def n_perturbers(self) -> int:
-        return self.positions.size
-
 
 def envelope(t, laser: LaserParams):
     """Trapezoidal envelope f(t) ∈ [0, 1]: linear ramps, flat plateau, 0 outside."""
@@ -149,7 +145,7 @@ def gradient_atom(x, atom: AtomParams):
 def potential_env(x, config: EnvironmentConfig, pert: PerturberParams):
     """Sum of identical Gaussian wells centred at the scatterer positions."""
     x = np.asarray(x, dtype=float)
-    if pert.A_E == 0.0 or config.n_perturbers == 0:
+    if pert.A_E == 0.0 or config.positions.size == 0:
         return np.zeros_like(x)
     d = x[..., None] - config.positions
     return -pert.A_E * np.exp(-0.5 * (d / pert.sigma_E) ** 2).sum(axis=-1)
@@ -158,7 +154,7 @@ def potential_env(x, config: EnvironmentConfig, pert: PerturberParams):
 def gradient_env(x, config: EnvironmentConfig, pert: PerturberParams):
     """Analytic derivative of potential_env with respect to x."""
     x = np.asarray(x, dtype=float)
-    if pert.A_E == 0.0 or config.n_perturbers == 0:
+    if pert.A_E == 0.0 or config.positions.size == 0:
         return np.zeros_like(x)
     d = x[..., None] - config.positions
     s2 = pert.sigma_E**2

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import EnvironmentConfig, LaserParams, quiver_radius
+from .storage import MalformedRecordError
 
 
 @dataclass(frozen=True)
@@ -141,17 +142,18 @@ def load_configurations(path) -> tuple[list[EnvironmentConfig], dict]:
     """Read configurations saved by save_configurations; returns (configs, header)."""
     configs = []
     header: dict = {}
-    with open(path) as fh:
+    # undecodable bytes become U+FFFD, which no number or key parses as
+    with open(path, errors="replace") as fh:
         first = fh.readline()
         if not first.startswith("#"):
-            raise ValueError(f"{path}: missing header line")
+            raise MalformedRecordError(f"{path}: missing header line")
         try:
             for item in first[1:].split():
                 key, _, val = item.partition("=")
                 header[key] = float(val) if "." in val or "e" in val \
                     else int(val)
         except ValueError as exc:
-            raise ValueError(f"{path}, line 1: {exc}") from None
+            raise MalformedRecordError(f"{path}, line 1: {exc}") from None
         for lineno, line in enumerate(fh, 2):
             if not line.strip():
                 continue
@@ -159,5 +161,8 @@ def load_configurations(path) -> tuple[list[EnvironmentConfig], dict]:
                 configs.append(EnvironmentConfig(
                     positions=[float(v) for v in line.split()]))
             except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+                raise MalformedRecordError(f"{path}, line {lineno}: "
+                                           f"{exc}") from None
+    if not configs:
+        raise MalformedRecordError(f"{path}: holds no configuration")
     return configs, header

@@ -37,6 +37,11 @@ class MissingArtifactError(FileNotFoundError):
     """An analysis command needs an upstream product that is not there."""
 
 
+class MalformedRecordError(ValueError):
+    """A stored record file is truncated, of another format, or does not
+    agree with itself; the message starts with the file's path."""
+
+
 def sha256_of(path) -> str:
     # one 1 MiB buffer read into and hashed in place: no bytes object per
     # chunk
@@ -84,28 +89,25 @@ def read_csv(path) -> tuple[dict[str, np.ndarray], list[str]]:
             elif line:
                 rows.append([float(v) for v in line.split(",")])
     if header is None:
-        raise ValueError(f"{path}: no header row")
+        raise MalformedRecordError(f"{path}: no header row")
     data = np.array(rows) if rows else np.empty((0, len(header)))
     return {name: data[:, i] for i, name in enumerate(header)}, comments
 
 
 # --- binary container ---
 
-def _write_header(fh, kind: int):
-    fh.write(MAGIC)
-    fh.write(struct.pack("<II", FORMAT_VERSION, kind))
-
-
-def _read_header(fh, path) -> int | None:
-    magic = fh.read(4)
-    if not magic:
-        return None
-    if magic != MAGIC:
-        raise ValueError(f"{path}: not an HHG1 binary file")
-    version, kind = struct.unpack("<II", fh.read(8))
+def _check_header(path, head: bytes, kind: int) -> None:
+    """Refuse, naming `path`, a 12-byte container header of another magic,
+    version or kind."""
+    if head[:4] != MAGIC:
+        raise MalformedRecordError(f"{path}: not an HHG1 binary file")
+    version, got = struct.unpack("<II", head[4:12])
     if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    return kind
+        raise MalformedRecordError(f"{path}: unsupported format version "
+                                   f"{version}")
+    if got != kind:
+        raise MalformedRecordError(f"{path}: expected " + (
+            "a map record" if kind == KIND_MAP else "wavefunction records"))
 
 
 def _snapshot_record(n: int) -> np.dtype:
@@ -116,8 +118,9 @@ def _snapshot_record(n: int) -> np.dtype:
                      ("t", "<f8"), ("psi", "<c16", (n,))])
 
 
-def _snapshot_records(x_min, x_max, times, states) -> np.ndarray:
-    """The records of `states` (one row each) at `times`, ready to write."""
+def write_wavefunctions(path, x_min: float, x_max: float,
+                        times, states) -> None:
+    """One snapshot record per (time, state) pair, in a new file."""
     states = np.asarray(states, dtype=complex)
     n = states.shape[-1]
     recs = np.empty(len(times), dtype=_snapshot_record(n))
@@ -125,53 +128,63 @@ def _snapshot_records(x_min, x_max, times, states) -> np.ndarray:
     recs["kind"], recs["n"] = KIND_WAVEFUNCTION, n
     recs["x_min"], recs["x_max"], recs["t"] = x_min, x_max, times
     recs["psi"] = states
-    return recs
-
-
-def write_wavefunctions(path, x_min: float, x_max: float,
-                        times, states) -> None:
-    """One snapshot record per (time, state) pair, in a new file."""
     with open(path, "wb") as fh:
-        fh.write(_snapshot_records(x_min, x_max, times, states).data)
+        fh.write(recs.data)
 
 
-def _check_snapshot_heads(path, recs: np.ndarray) -> None:
-    if np.any(recs["magic"] != MAGIC):
-        raise ValueError(f"{path}: not an HHG1 binary file")
-    version = recs["version"][recs["version"] != FORMAT_VERSION]
-    if version.size:
-        raise ValueError(f"{path}: unsupported format version {version[0]}")
-    if np.any(recs["kind"] != KIND_WAVEFUNCTION):
-        raise ValueError(f"{path}: expected wavefunction records")
+# a snapshot record's header, and its bytes before the time stamp: magic,
+# version, kind, grid and n
+_HEAD = _snapshot_record(0)
+_FIXED = _HEAD.fields["t"][1]
+
+
+def _check_heads(paths, heads: np.ndarray, first: bytes) -> None:
+    """The header rule of snapshot records: each row of `heads`, the raw
+    header of a record of the file at its index in `paths`, repeats `first`,
+    the first file's first header, in all but the time stamp."""
+    bad = np.any(heads[:, :_FIXED] != np.frombuffer(first, np.uint8, _FIXED),
+                 axis=1)
+    if np.any(bad):
+        i = np.argmax(bad)
+        _check_header(paths[i], heads[i, :12].tobytes(), KIND_WAVEFUNCTION)
+        raise MalformedRecordError(f"{paths[i]}: another grid than "
+                                   f"{paths[0].name}'s first record")
+
+
+def _open_snapshots(path: Path) -> tuple[bytes, int, int]:
+    """The first record's header of a snapshot file, its n, and its
+    number of records: a whole number, and at least one."""
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        first = fh.read(_HEAD.itemsize)
+    if len(first) < _HEAD.itemsize:
+        raise MalformedRecordError(f"{path}: {size} bytes hold no snapshot "
+                                   f"record")
+    _check_header(path, first, KIND_WAVEFUNCTION)
+    n = int(np.frombuffer(first, _HEAD)["n"][0])
+    record = _HEAD.itemsize + 16 * n
+    if size % record:
+        raise MalformedRecordError(f"{path}: {size} bytes are not a whole "
+                                   f"number of {record}-byte snapshot records")
+    return first, n, size // record
 
 
 def read_wavefunctions(path) -> tuple[float, float, np.ndarray, np.ndarray]:
     """All snapshot records in a file: (x_min, x_max, times, states).
 
     The file is read in one pass as an array of fixed-size records, sized
-    by the first record's n; every record must carry the same n and grid.
+    by the first record's n; every record must carry the first one's
+    header in all but the time.
     """
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(f"missing file: {path}")
-    size = path.stat().st_size
-    if size == 0:
-        return None, None, np.empty(0), np.empty((0, 0), dtype=complex)
-    head = np.fromfile(path, dtype=_snapshot_record(0), count=1)
-    _check_snapshot_heads(path, head)
-    n = int(head["n"][0]) if head.size else 0
-    record = _snapshot_record(n)
-    if size % record.itemsize:
-        raise ValueError(f"{path}: {size} bytes are not a whole number of "
-                         f"{record.itemsize}-byte snapshot records")
-    recs = np.fromfile(path, dtype=record)
-    _check_snapshot_heads(path, recs)
-    if np.any(recs["n"] != n):
-        raise ValueError(f"{path}: inconsistent grid sizes between records")
-    x_min, x_max = float(recs["x_min"][0]), float(recs["x_max"][0])
-    if np.any(recs["x_min"] != x_min) or np.any(recs["x_max"] != x_max):
-        raise ValueError(f"{path}: inconsistent grids between records")
-    return x_min, x_max, recs["t"].copy(), recs["psi"]
+    first, n, _ = _open_snapshots(path)
+    recs = np.fromfile(path, dtype=_snapshot_record(n))
+    _check_heads([path] * recs.size,
+                 recs.view(np.uint8).reshape(recs.size, -1), first)
+    return (float(recs["x_min"][0]), float(recs["x_max"][0]),
+            recs["t"].copy(), recs["psi"])
 
 
 class SnapshotSet(Sequence):
@@ -179,57 +192,48 @@ class SnapshotSet(Sequence):
     is record k of every file, a contiguous complex (n_files, n) array.
 
     Opening the set checks that every file has the size of the first, a
-    whole number of its records.  Reading a probe takes record k of each
-    file with positional reads, its header into one reused buffer and its
-    amplitudes straight into the probe's row.  Every header must match the
-    first file's record k byte for byte (magic, version, kind, grid, n and
-    time), and that one must match the first file's first record in all
-    but the time.  Files are not memory-mapped, since mapped pages count
-    in the process's resident set just as read ones do.
+    whole number of its records, and at least one.  Reading a probe takes
+    record k of each file with positional reads, its header into a row of
+    one header array and its amplitudes straight into the probe's row.
+    Every header must repeat the first file's first one in all but the
+    time, the rule of `read_wavefunctions`, and carry the time of the
+    first file's record k.  Files are not memory-mapped, since mapped
+    pages count in the process's resident set just as read ones do.
     """
 
     def __init__(self, paths):
         self.paths = [Path(p) for p in paths]
         first = self.paths[0]
+        self._first, self._n, self._n_probes = _open_snapshots(first)
         size = first.stat().st_size
-        head = np.fromfile(first, dtype=_snapshot_record(0), count=1)
-        _check_snapshot_heads(first, head)
-        self._n = int(head["n"][0]) if head.size else 0
-        self._record = _snapshot_record(self._n).itemsize
-        if size % self._record:
-            raise ValueError(f"{first}: {size} bytes are not a whole number "
-                             f"of {self._record}-byte snapshot records")
+        self._record = size // self._n_probes
         for path in self.paths[1:]:
             if path.stat().st_size != size:
-                raise ValueError(f"{path}: {path.stat().st_size} bytes, but "
-                                 f"{first.name} has {size}")
-        self._n_probes = size // self._record
-        self._head = bytearray(head.itemsize)
-        # every header field but the time, which changes from probe to probe
-        self._t_at = head.dtype.fields["t"][1]
-        self._fixed_head = head.tobytes()[:self._t_at]
+                raise MalformedRecordError(
+                    f"{path}: {path.stat().st_size} bytes, but "
+                    f"{first.name} has {size}")
 
     def __len__(self) -> int:
         return self._n_probes
 
     def __getitem__(self, k) -> np.ndarray:
         k = range(self._n_probes)[operator.index(k)]
-        head = self._head
+        heads = np.empty((len(self.paths), _HEAD.itemsize), dtype=np.uint8)
         states = np.empty((len(self.paths), self._n), dtype=complex)
         rows = states.view(np.uint8).reshape(len(self.paths), -1)
-        for i, (path, row) in enumerate(zip(self.paths, rows)):
+        for path, head, row in zip(self.paths, heads, rows):
             with open(path, "rb", buffering=0) as fh:
                 fh.seek(k * self._record)
                 got = fh.readinto(head) + fh.readinto(row)
             if got != self._record:
-                raise ValueError(f"{path}: file ends inside record {k}")
-            if i == 0:
-                ref = bytes(head)
-            if head != ref or head[:self._t_at] != self._fixed_head:
-                _check_snapshot_heads(
-                    path, np.frombuffer(head, dtype=_snapshot_record(0)))
-                raise ValueError(f"{path} holds other times or another grid "
-                                 f"than {self.paths[0].name}")
+                raise MalformedRecordError(f"{path}: file ends inside record "
+                                           f"{k}")
+        _check_heads(self.paths, heads, self._first)
+        late = np.any(heads[:, _FIXED:] != heads[0, _FIXED:], axis=1)
+        if np.any(late):
+            raise MalformedRecordError(
+                f"{self.paths[np.argmax(late)]} holds other times than "
+                f"{self.paths[0].name}")
         return states
 
 
@@ -242,7 +246,7 @@ def write_map(path, row_axis, col_axis, values, row_label: str = "",
     if values.shape != (row_axis.size, col_axis.size):
         raise ValueError("map shape does not match its axes")
     with open(path, "wb") as fh:
-        _write_header(fh, KIND_MAP)
+        fh.write(MAGIC + struct.pack("<II", FORMAT_VERSION, KIND_MAP))
         for label in (row_label, col_label):
             enc = label.encode()[:64]
             fh.write(struct.pack("<I", len(enc)))
@@ -261,20 +265,23 @@ def read_map(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, str, str]:
         raise MissingArtifactError(f"missing file: {path}")
     with open(path, "rb") as fh:
         try:
-            if _read_header(fh, path) != KIND_MAP:
-                raise ValueError(f"{path}: expected a map record")
+            _check_header(path, fh.read(12), KIND_MAP)
             labels = []
             for _ in range(2):
                 (ln,) = struct.unpack("<I", fh.read(4))
                 labels.append(fh.read(ln).decode())
             n_rows, n_cols = struct.unpack("<QQ", fh.read(16))
         except struct.error:
-            raise ValueError(f"{path}: file ends inside its header") from None
+            raise MalformedRecordError(
+                f"{path}: file ends inside its header") from None
+        except UnicodeDecodeError as exc:
+            raise MalformedRecordError(f"{path}: axis label is not UTF-8: "
+                                       f"{exc.reason}") from None
         need = fh.tell() + 8 * (n_rows + n_cols + n_rows * n_cols)
         have = path.stat().st_size
         if have != need:
-            raise ValueError(f"{path}: {have} bytes, but a {n_rows} x "
-                             f"{n_cols} map takes {need}")
+            raise MalformedRecordError(f"{path}: {have} bytes, but a {n_rows}"
+                                       f" x {n_cols} map takes {need}")
         row_axis = np.fromfile(fh, dtype="<f8", count=n_rows)
         col_axis = np.fromfile(fh, dtype="<f8", count=n_cols)
         values = np.fromfile(fh, dtype="<f8", count=n_rows * n_cols)
@@ -323,10 +330,11 @@ class Manifest:
         mpath = directory / "manifest.json"
         if not mpath.exists():
             raise MissingArtifactError(f"missing manifest: {mpath}")
-        with open(mpath) as fh:
-            data = json.load(fh)
         m = cls(directory)
-        m.data = data
+        try:
+            m.data = json.loads(mpath.read_text())
+        except ValueError as exc:
+            raise MalformedRecordError(f"{mpath}: {exc}") from None
         return m
 
     def verify_outputs(self, names) -> list[str]:

@@ -97,11 +97,11 @@ class PropagatorPlan:
 
     Holds the kinetic phase factors for every drift coefficient, the kick
     factors of the static potential for every kick coefficient, the laser,
-    the absorber mask (None disables absorption) and the two position tables
-    of the field phase: with b = ⌈√n⌉, `x_hi[q] = x_min + dx·b·q` and
-    `x_lo[r] = dx·r`, so that x_j = x_hi[q] + x_lo[r] for j = b·q + r.
-    `static_potential` may be (n,) or (m, n) for a batch of environments
-    sharing the grid.
+    the absorber mask (None disables absorption; `propagate`, not `step`,
+    applies it in place) and the two position tables of the field phase:
+    with b = ⌈√n⌉, `x_hi[q] = x_min + dx·b·q` and `x_lo[r] = dx·r`, so that
+    x_j = x_hi[q] + x_lo[r] for j = b·q + r.  `static_potential` may be
+    (n,) or (m, n) for a batch of environments sharing the grid.
     """
 
     def __init__(self, grid: Grid, dt: float, static_potential: np.ndarray,
@@ -166,13 +166,6 @@ def step(psi: np.ndarray, t: float, plan: PropagatorPlan) -> np.ndarray:
     return psi
 
 
-def apply_absorber(psi: np.ndarray, plan: PropagatorPlan) -> np.ndarray:
-    """Multiply by the plan's absorbing mask (identity if the plan has none)."""
-    if plan.mask is None:
-        return psi
-    return psi * plan.mask
-
-
 @dataclass
 class PropagationRecord:
     """Observables sampled along one propagation (leading axis = time)."""
@@ -191,9 +184,11 @@ def propagate(psi0: np.ndarray, plan: PropagatorPlan, t_start: float,
               probe_times: Sequence[float] = ()) -> PropagationRecord:
     """March from t_start to t_end, recording every `record_stride` steps.
 
-    Snapshots are stored at the step times closest to each requested probe
-    time.  `static_gradient` is d/dx of the static potential, needed by the
-    acceleration recorder; shapes follow `static_potential` in the plan.
+    The plan's absorber mask, if any, multiplies each fresh stepped state
+    in place.  Snapshots are stored at the step times closest to each
+    requested probe time.  `static_gradient` is d/dx of the static
+    potential, needed by the acceleration recorder; shapes follow
+    `static_potential` in the plan.
     """
     dt = plan.dt
     n_steps = int(round((t_end - t_start) / dt))
@@ -221,7 +216,8 @@ def propagate(psi0: np.ndarray, plan: PropagatorPlan, t_start: float,
     for k in range(n_steps + 1):
         if k:
             psi = step(psi, t_start + (k - 1) * dt, plan)
-            psi = apply_absorber(psi, plan)
+            if plan.mask is not None:
+                psi *= plan.mask
         t_now = t_start + k * dt
         if k % record_stride == 0:
             j = k // record_stride

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 import tracemalloc
 import warnings
@@ -10,8 +11,10 @@ import pytest
 
 from hhg1d.cli import main
 from hhg1d.config import RunConfig, parse_config
-from hhg1d.storage import (Manifest, read_csv, read_map, read_wavefunctions,
-                           write_map, write_wavefunctions)
+from hhg1d.sampler import load_configurations
+from hhg1d.storage import (MalformedRecordError, Manifest, SnapshotSet,
+                           read_csv, read_map, read_wavefunctions, write_map,
+                           write_wavefunctions)
 
 TINY_CONFIG = """
 [laser]
@@ -71,6 +74,9 @@ BAD_INPUTS = {
     "config_x_max_below_x_min": ["run", "--config", "{cfg_x_max_-80}"],
     "config_n_1": ["run", "--config", "{cfg_n_1}"],
     "config_record_stride_0": ["run", "--config", "{cfg_record_stride_0}"],
+    "config_record_stride_past_pulse": ["run", "--config",
+                                        "{cfg_record_stride_10000}"],
+    "config_pulse_0": ["run", "--config", "{cfg_pulse_0}"],
     "config_absorber_band_wide": ["run", "--config",
                                   "{cfg_absorber_band_wide}"],
     "config_absorber_band_nan": ["run", "--config",
@@ -155,6 +161,10 @@ BAD_CONFIGS = {
     "cfg_x_max_-80": ("grid", "x_max", "-80"),
     "cfg_n_1": ("grid", "n", "1"),
     "cfg_record_stride_0": ("grid", "record_stride", "0"),
+    # the tiny pulse lasts 3307 steps
+    "cfg_record_stride_10000": ("grid", "record_stride", "10000"),
+    # three keys: no up, plateau or down cycle
+    "cfg_pulse_0": ("laser", "n_up", "0\nn_plateau = 0\nn_down = 0"),
     "cfg_absorber_band_wide": ("grid", "absorber_band", "0.6"),
     "cfg_absorber_band_nan": ("grid", "absorber_band", "nan"),
     "cfg_omega_inf": ("laser", "omega", "inf"),
@@ -356,6 +366,64 @@ class TestRecordChecks:
         assert not (tmp_path / "out").exists()
         assert tree_digest(records, skip=()) == before
 
+    def refused_with_3(self, command, records, tmp_path, capsys) -> str:
+        """`command` on `records` exits 3, creates no --out and leaves the
+        records as they are; returns its standard error."""
+        before = tree_digest(records, skip=())
+        capsys.readouterr()
+        assert main([command, "--records", str(records),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert not (tmp_path / "out").exists()
+        assert tree_digest(records, skip=()) == before
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["purity", "density-map"])
+    def test_empty_snapshot_files_are_3(self, command, records, tmp_path,
+                                        capsys):
+        for snap in (records / "snapshots").glob("config_*.bin"):
+            snap.write_bytes(b"")
+        err = self.refused_with_3(command, records, tmp_path, capsys)
+        assert ("missing artifact: malformed record file: "
+                f"{records / 'snapshots' / 'config_0000.bin'}: 0 bytes hold "
+                "no snapshot record") in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "gabor"])
+    def test_one_time_row_is_3(self, command, records, tmp_path, capsys):
+        path = records / "accel_configs.bin"
+        rows, cols, accel, rl, cl = read_map(path)
+        write_map(path, rows[:1], cols, accel[:1], rl, cl)
+        err = self.refused_with_3(command, records, tmp_path, capsys)
+        assert f"malformed record file: {path}: 1 time row(s)" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "pair-correlation"])
+    def test_corrupt_manifest_is_3(self, command, records, tmp_path,
+                                   capsys):
+        path = records / "manifest.json"
+        path.write_text(path.read_text()[:-10])
+        err = self.refused_with_3(command, records, tmp_path, capsys)
+        assert err.startswith(f"missing artifact: malformed record file: "
+                              f"{path}: ")
+
+    # each storage reader refuses a file whose first four bytes are wrong,
+    # and a command that reads that file exits 3 naming it
+    @pytest.mark.parametrize("reader, name, command", [
+        (read_map, "accel_configs.bin", "spectrum"),
+        (read_wavefunctions, "snapshots/config_0000.bin", "purity"),
+        (lambda path: SnapshotSet(sorted(path.parent.iterdir()))[0],
+         "snapshots/config_0001.bin", "density-map"),
+        (load_configurations, "environment.txt", "pair-correlation"),
+    ], ids=["read_map", "read_wavefunctions", "SnapshotSet",
+            "load_configurations"])
+    def test_reader_fault_is_3(self, reader, name, command, records,
+                               tmp_path, capsys):
+        path = records / name
+        path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+        with pytest.raises(MalformedRecordError,
+                           match=f"^{re.escape(str(path))}") as exc:
+            reader(path)
+        assert isinstance(exc.value, ValueError)
+        err = self.refused_with_3(command, records, tmp_path, capsys)
+        assert f"missing artifact: malformed record file: {path}" in err
 
 class TestBoundedMemory:
     """purity and density-map hold one probe of the snapshot set at a

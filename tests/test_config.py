@@ -92,6 +92,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match="F_L"):
             parse_config("[laser]\nF_L = banana\n")
 
+    def test_pulse_shorter_than_record_stride(self):
+        # a zero-length pulse and a stride longer than the pulse each leave
+        # a one-record series; the shortest accepted pulse has two records
+        with pytest.raises(ConfigError, match="record_stride = 4"):
+            parse_config("[laser]\nn_up = 0\nn_plateau = 0\nn_down = 0\n")
+        n_steps = round(RunConfig().laser.duration / RunConfig().dt)
+        with pytest.raises(ConfigError, match="shorter than record_stride"):
+            parse_config(f"[grid]\nrecord_stride = {n_steps + 1}\n")
+        parse_config(f"[grid]\nrecord_stride = {n_steps}\n")
+
     def test_wavelength_alternative(self):
         cfg = parse_config("[laser]\nwavelength_nm = 1030\n")
         assert cfg.laser.omega_L == pytest.approx(0.044, abs=3e-4)

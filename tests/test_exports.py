@@ -3,7 +3,7 @@ the arguments the demos and the quickstart pass to them.
 
 Nothing runs the demos in the test suite, so a removed export or keyword
 would break them silently; this parses their source instead of running it.
-The last test pins which scipy modules `import hhg1d.cli` leaves unloaded.
+The last tests pin which modules `import hhg1d.cli` leaves unloaded.
 """
 
 import ast
@@ -79,15 +79,25 @@ def test_demo_and_readme_calls_bind():
     assert not failures
 
 
-def test_cli_start_up_loads_no_heavy_scipy_modules():
-    # every hhg1d process pays for what `hhg1d.cli` imports; these are
-    # loaded on first use, by the step, the eigensolver and the purity fit
-    heavy = ["scipy.fft", "scipy.optimize", "scipy.sparse.linalg",
-             "scipy.linalg"]
+def _loaded_by_cli_import(modules: list[str]) -> list[str]:
+    """Those of `modules` that a fresh `import hhg1d.cli` loads."""
     code = ("import sys, hhg1d.cli; "
-            f"print([m for m in {heavy!r} if m in sys.modules])")
+            f"print([m for m in {modules!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=ROOT,
                          env={**os.environ, "PYTHONPATH": str(
                              Path(hhg1d.__file__).resolve().parents[1])})
-    assert out.stdout.strip() == "[]"
+    return ast.literal_eval(out.stdout.strip())
+
+
+def test_cli_start_up_loads_no_heavy_scipy_modules():
+    # every hhg1d process pays for what `hhg1d.cli` imports; these are
+    # loaded on first use, by the step, the eigensolver and the purity fit
+    assert _loaded_by_cli_import(["scipy.fft", "scipy.optimize",
+                                  "scipy.sparse.linalg", "scipy.linalg"]) == []
+
+
+def test_cli_start_up_loads_no_process_pool():
+    # loaded only by a run with more than one block of configurations
+    assert _loaded_by_cli_import(["concurrent.futures.process",
+                                  "multiprocessing"]) == []

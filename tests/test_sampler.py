@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from hhg1d.sampler import (SeededRng, StructureParams, load_configurations,
                            pair_correlation, sample_configuration,
                            sample_ensemble, sample_gap, save_configurations)
+from hhg1d.storage import MalformedRecordError
 
 
 class TestSampleGap:
@@ -137,4 +138,14 @@ class TestSerialization:
         path = tmp_path / "env.txt"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"env.txt, line {line}: "):
+            load_configurations(path)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"# a=10.0 n_p=2\n\n", "env.txt: holds no configuration"),
+        (b"# a=10.0 n_p=2\n-1 1\n-1 \xff1\n", "env.txt, line 3: "),
+    ], ids=["no_configuration", "not_utf8"])
+    def test_unusable_file_named(self, tmp_path, raw, message):
+        path = tmp_path / "env.txt"
+        path.write_bytes(raw)
+        with pytest.raises(MalformedRecordError, match=message):
             load_configurations(path)

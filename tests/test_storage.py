@@ -7,9 +7,18 @@ import numpy as np
 import pytest
 
 from hhg1d.ensemble import MaskSpec, purity_series
-from hhg1d.storage import (Manifest, MissingArtifactError, SnapshotSet,
-                           read_csv, read_map, read_wavefunctions, sha256_of,
+from hhg1d.storage import (MalformedRecordError, Manifest,
+                           MissingArtifactError, SnapshotSet, read_csv,
+                           read_map, read_wavefunctions, sha256_of,
                            write_csv, write_map, write_wavefunctions)
+
+# offsets into a snapshot record's header of magic, version, kind, x_min,
+# x_max, n and t, and a value other than the one written
+HEADER_FIELDS = pytest.mark.parametrize("offset, value", [
+    (0, b"HHG2"), (4, struct.pack("<I", 2)), (8, struct.pack("<I", 2)),
+    (12, struct.pack("<d", -9.0)), (20, struct.pack("<d", 9.0)),
+    (28, struct.pack("<Q", 7)), (36, struct.pack("<d", 1.5))],
+    ids=["magic", "version", "kind", "x_min", "x_max", "n", "t"])
 from hhg1d.tdse import Grid
 
 
@@ -75,6 +84,34 @@ class TestWavefunctions:
                             np.ones((2, 64), dtype=complex))
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(ValueError):
+            read_wavefunctions(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "snaps.bin"
+        path.write_bytes(b"")
+        with pytest.raises(MalformedRecordError,
+                           match=f"^{re.escape(str(path))}: 0 bytes hold no"):
+            read_wavefunctions(path)
+        with pytest.raises(MalformedRecordError, match="hold no snapshot"):
+            SnapshotSet([path])
+
+    # the rule SnapshotSet applies too: every record repeats the first
+    # record's header in all but the time
+    @HEADER_FIELDS
+    def test_header_rule(self, tmp_path, offset, value):
+        path = tmp_path / "snaps.bin"
+        write_wavefunctions(path, -10.0, 10.0, [0.0, 1.0, 2.0],
+                            np.ones((3, 8), dtype=complex))
+        raw = bytearray(path.read_bytes())
+        at = 2 * (44 + 16 * 8) + offset
+        raw[at:at + len(value)] = value
+        path.write_bytes(bytes(raw))
+        if offset == 36:
+            np.testing.assert_array_equal(read_wavefunctions(path)[2],
+                                          [0.0, 1.0, 1.5])
+            return
+        with pytest.raises(MalformedRecordError,
+                           match=f"^{re.escape(str(path))}: "):
             read_wavefunctions(path)
 
     @pytest.mark.parametrize("n_rec, n", [(0, 16), (1, 1), (4, 1), (6, 33)])
@@ -163,15 +200,10 @@ class TestSnapshotSet:
         with pytest.raises(ValueError, match="config_0000.bin"):
             SnapshotSet(files)
 
-    # offsets into the second record of one file: magic, version, kind,
-    # x_min, x_max, n and t; a time changed in config_0000 is named as the
-    # other files' mismatch
+    # a field of the second record of one file changed; a time changed in
+    # config_0000 is named as the other files' mismatch
     @pytest.mark.parametrize("which", [0, 1])
-    @pytest.mark.parametrize("offset, value", [
-        (0, b"HHG2"), (4, struct.pack("<I", 2)), (8, struct.pack("<I", 2)),
-        (12, struct.pack("<d", -9.0)), (20, struct.pack("<d", 9.0)),
-        (28, struct.pack("<Q", 7)), (36, struct.pack("<d", 1.5))],
-        ids=["magic", "version", "kind", "x_min", "x_max", "n", "t"])
+    @HEADER_FIELDS
     def test_header_differs(self, tmp_path, which, offset, value):
         files, _ = write_snapshot_set(tmp_path, 3, [0.0, 1.0, 2.0], 8)
         raw = bytearray(files[which].read_bytes())
@@ -214,6 +246,17 @@ class TestMaps:
                   np.ones((4, 6)), "t", "x")
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValueError, match="map.bin"):
+            read_map(path)
+
+    def test_label_not_utf8(self, tmp_path):
+        path = tmp_path / "map.bin"
+        write_map(path, np.arange(4.0), np.arange(6.0), np.ones((4, 6)),
+                  "t", "x")
+        raw = bytearray(path.read_bytes())
+        raw[16] = 0xFF  # the row label "t"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(MalformedRecordError,
+                           match=f"^{re.escape(str(path))}: axis label"):
             read_map(path)
 
     def test_reads_payload_once(self, tmp_path):

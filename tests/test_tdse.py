@@ -7,7 +7,7 @@ from hhg1d.model import (AtomParams, LaserParams, field_at, gradient_atom,
                          potential_atom)
 from hhg1d.splitting import KICK_COEFFS
 from hhg1d.tdse import (ConvergenceError, Grid, PropagatorPlan, absorber_mask,
-                        apply_absorber, fd_eigenstates, ground_state, overlap,
+                        fd_eigenstates, ground_state, overlap,
                         propagate, state_norm, step)
 
 
@@ -238,27 +238,48 @@ class TestAbsorber:
     def test_interior_untouched(self):
         g = Grid(-100.0, 100.0, 512)
         mask = absorber_mask(g, 0.1)
+        assert np.all(mask[np.abs(g.x) <= 80.0] == 1.0)
         psi = gaussian_packet(g, 0.0, 5.0)
-        plan = PropagatorPlan(g, 0.1, np.zeros(g.n), FIELD_OFF, mask=mask)
-        np.testing.assert_allclose(apply_absorber(psi, plan), psi,
-                                   atol=1e-14)
+        np.testing.assert_allclose(psi * mask, psi, atol=1e-14)
 
     def test_edge_packet_damped(self):
         g = Grid(-100.0, 100.0, 512)
         mask = absorber_mask(g, 0.1)
         psi = gaussian_packet(g, 95.0, 2.0)
-        plan = PropagatorPlan(g, 0.1, np.zeros(g.n), FIELD_OFF, mask=mask)
-        after = apply_absorber(psi, plan)
-        assert state_norm(after, g.dx) < state_norm(psi, g.dx)
+        assert state_norm(psi * mask, g.dx) < state_norm(psi, g.dx)
 
-    def test_twice_is_squared_mask(self):
+    def test_band_follows_cos_eighth_root(self):
         g = Grid(-100.0, 100.0, 512)
         mask = absorber_mask(g, 0.1)
-        psi = gaussian_packet(g, 80.0, 10.0)
-        plan = PropagatorPlan(g, 0.1, np.zeros(g.n), FIELD_OFF, mask=mask)
-        twice = apply_absorber(apply_absorber(psi, plan), plan)
-        np.testing.assert_allclose(twice, psi * mask**2, rtol=1e-13,
-                                   atol=1e-300)
+        s = (np.abs(g.x) - 80.0) / 20.0
+        band = (s > 0) & (s < 1)
+        assert band.sum() > 50
+        np.testing.assert_allclose(mask[band],
+                                   np.cos(0.5 * np.pi * s[band]) ** 0.125,
+                                   rtol=1e-14)
+        assert np.all(mask[s >= 1] == 0.0)
+        # falls monotonically from the interior to each edge
+        half = g.n // 2
+        assert np.all(np.diff(mask[half:]) <= 0)
+        assert np.all(np.diff(mask[:half]) >= 0)
+
+    def test_propagate_masks_the_step_in_place(self, atom, reduced_laser):
+        # a batch of two packets in the band: the snapshot after one step
+        # is step(psi) times the mask, bit for bit
+        g = Grid(-100.0, 100.0, 512)
+        v = potential_atom(g.x, atom)
+        plan = PropagatorPlan(g, 0.05, np.stack([v, 0.5 * v]),
+                              reduced_laser, mask=absorber_mask(g, 0.1))
+        psi0 = np.stack([gaussian_packet(g, 85.0, 3.0, k0=1.0),
+                         gaussian_packet(g, -88.0, 2.0, k0=-0.5)])
+        t0 = 2 * reduced_laser.period
+        grad = gradient_atom(g.x, atom)
+        rec = propagate(psi0, plan, t0, t0 + plan.dt,
+                        np.stack([grad, 0.5 * grad]), record_stride=1,
+                        probe_times=(t0, t0 + plan.dt))
+        expected = step(psi0, t0, plan) * plan.mask
+        assert rec.snapshots[1].tobytes() == expected.tobytes()
+        assert rec.snapshots[0].tobytes() == psi0.tobytes()
 
     def test_mask_shape(self):
         g = Grid(-100.0, 100.0, 1024)
