@@ -38,7 +38,7 @@ best = 0.0
 for t_i in np.linspace(0.0, 0.5 * T, 60):
     for t_s in np.linspace(t_i + 0.05 * T, t_i + T, 60):
         traj = BackscatterTrajectory(t_i, t_s, laser)
-        _, e_r = traj.origin_returns(horizon=1.5, mesh_per_cycle=500)
+        _, e_r = traj.origin_returns(horizon=1.5)
         best = max(best, e_r.max(initial=0.0))
 print(f"best backscattered origin return: {best / up:.2f} U_p")
 
@@ -50,7 +50,7 @@ except ImportError:
 fig, ax = plt.subplots(figsize=(6.5, 4))
 colors = plt.cm.Greys(np.linspace(0.95, 0.35, len(ells)))
 for l, c in zip(ells, colors):
-    returns = [find_returns(t_i, l, laser, horizon=1.5, mesh_per_cycle=500)
+    returns = [find_returns(t_i, l, laser, horizon=1.5)
                for t_i in np.linspace(2 * T, 3 * T, 400, endpoint=False)]
     t_r, e_r, _ = map(np.concatenate, zip(*returns))
     ax.plot(t_r / T, e_r / up, ".", ms=1.5, color=c, label=f"|x| = {l:.0f}")

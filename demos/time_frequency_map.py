@@ -32,7 +32,7 @@ print(f"map: {gmap.taus.size} window centres x {gmap.omegas.size} "
       f"frequencies")
 
 # classical overlay: arrival energies of field-only trajectories
-returns = [find_returns(t_i, 0.0, laser, horizon=1.5, mesh_per_cycle=500)
+returns = [find_returns(t_i, 0.0, laser, horizon=1.5)
            for t_i in np.linspace(2 * T, 4 * T, 600, endpoint=False)]
 t_r, e_r, _ = map(np.concatenate, zip(*returns))
 overlay_t, overlay_q = t_r / T, (e_r - e0) / laser.omega_L

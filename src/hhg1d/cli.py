@@ -36,9 +36,8 @@ from .ensemble import (PropagationFailure, density_matrix_map,
 from .model import potential_atom
 from .sampler import pair_correlation, sample_ensemble, save_configurations, \
     load_configurations
-from .semiclassics import (MESH_PER_CYCLE, OrbitError, find_periodic_orbit,
-                           find_returns, max_return_energy, quiver_guess,
-                           symmetry_partner)
+from .semiclassics import (OrbitError, find_periodic_orbit, find_returns,
+                           max_return_energy, quiver_guess, symmetry_partner)
 from .spectra import fit_purity_decay, gabor, hhg_spectrum
 from .storage import (MalformedRecordError, Manifest, MissingArtifactError,
                       SnapshotSet, read_map, read_wavefunctions, write_csv,
@@ -175,9 +174,10 @@ class _Analysis:
         path = self.rdir / "accel_configs.bin"
         _verify(self.manifest, path)
         t_axis, _, accel, _, _ = read_map(path)
-        if t_axis.size < 2:
-            raise MalformedRecordError(f"{path}: {t_axis.size} time row(s), "
-                                       f"but a spectrum needs two or more")
+        if t_axis.size < 2 or accel.shape[1] == 0:
+            raise MalformedRecordError(
+                f"{path}: {t_axis.size} time row(s) and {accel.shape[1]} "
+                f"configuration column(s); a spectrum needs at least 2 and 1")
         if member is None:
             return t_axis, accel.mean(axis=1)
         if not 0 <= member < accel.shape[1]:
@@ -243,14 +243,19 @@ def cmd_gabor(args) -> int:
 def cmd_purity(args) -> int:
     run = _Analysis(args)
     cfg = run.cfg
-    t_axis, p_tot, p_ph = purity_series(*run.snapshots(), run.grid, cfg.mask)
+    times, snaps = run.snapshots()
+    lo, hi = window = (cfg.laser.n_up * cfg.laser.period, cfg.laser.duration)
+    if not np.any((times >= lo) & (times <= hi)):
+        raise MissingArtifactError(f"{run.rdir / 'snapshots'}: no snapshot "
+                                   f"time in the fit window [{lo:g}, {hi:g}]")
+    t_axis, p_tot, p_ph = purity_series(times, snaps, run.grid, cfg.mask)
+    # both fits before either file: a failed fit writes nothing
+    fits = [fit_purity_decay(t_axis, series, window)
+            for series in (p_tot, p_ph)]
     path = run.path("purity.csv")
     write_csv(path, {"t": t_axis, "purity_total": p_tot,
                      "purity_photoelectron": p_ph},
               "purity", run.manifest.checksum())
-    window = (cfg.laser.n_up * cfg.laser.period, cfg.laser.duration)
-    fits = [fit_purity_decay(t_axis, series, window)
-            for series in (p_tot, p_ph)]
     for which, fit in zip(("total", "photoelectron"), fits):
         print(f"{which}: gamma={fit.gamma:.3f} t*={fit.t_star:.3f} fs "
               f"t0={fit.t0:.3f} fs residual={fit.residual_norm:.2e}")
@@ -306,9 +311,8 @@ def cmd_sfa(args) -> int:
     ells = _floats(args.ell_list, "--ell-list")
     if not all(ell >= 0 for ell in ells):
         raise ConfigError(f"--ell-list distances must be >= 0, got {ells}")
-    if not 1.0 / MESH_PER_CYCLE <= args.horizon < np.inf:
-        raise ConfigError(f"--horizon must be finite and >= "
-                          f"{1.0 / MESH_PER_CYCLE:g} cycles, "
+    if not 0 < args.horizon < np.inf:
+        raise ConfigError(f"--horizon must be finite and > 0 cycles, "
                           f"got {args.horizon:g}")
     if args.launches < 1:
         raise ConfigError(f"--launches must be >= 1, got {args.launches}")

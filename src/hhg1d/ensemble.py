@@ -25,16 +25,9 @@ from .model import (AtomParams, EnvironmentConfig, LaserParams,
                     PerturberParams, gradient_atom, gradient_env,
                     potential_atom, potential_env)
 from .sampler import StructureParams, sample_ensemble
-from .tdse import (Grid, PropagationRecord, PropagatorPlan, absorber_mask,
-                   check_ground_state_depth, ground_state, propagate)
-
-
-class PropagationFailure(RuntimeError):
-    """A configuration produced a non-finite state; carries its index."""
-
-    def __init__(self, config_index: int):
-        super().__init__(f"propagation failed for configuration {config_index}")
-        self.config_index = config_index
+from .tdse import (Grid, PropagationFailure, PropagationRecord,
+                   PropagatorPlan, absorber_mask, check_ground_state_depth,
+                   ground_state, propagate)
 
 
 @dataclass(frozen=True)
@@ -134,13 +127,13 @@ def _propagate_block(spec: EnsembleSpec, configs: list[EnvironmentConfig],
     plan = PropagatorPlan(grid, spec.dt, v_static, spec.laser,
                           mask=absorber_mask(grid, spec.absorber_band))
     batch = np.tile(psi0, (len(configs), 1))
-    rec = propagate(batch, plan, 0.0, spec.laser.duration, g_static,
-                    record_stride=spec.record_stride,
-                    probe_times=spec.probe_times())
-    bad = ~np.isfinite(rec.norm[-1])
-    if np.any(bad):
-        raise PropagationFailure(first_index + int(np.argmax(bad)))
-    return rec
+    try:
+        return propagate(batch, plan, 0.0, spec.laser.duration, g_static,
+                         record_stride=spec.record_stride,
+                         probe_times=spec.probe_times())
+    except PropagationFailure as exc:
+        raise PropagationFailure(first_index + exc.config_index,
+                                 exc.step) from None
 
 
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleRecord:

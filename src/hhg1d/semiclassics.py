@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub
 
 import numpy as np
 
 from .model import AtomParams, LaserParams, ponderomotive_energy
 from .splitting import DRIFT_COEFFS, KICK_COEFFS, KICK_TIMES
 
-MESH_PER_CYCLE = 2000   # root-bracketing resolution for return finding
 ROOT_TOL = 1e-10        # bracket width (a.u.) at which bisection stops
 FLOW_STEP = 0.01        # largest integration step (a.u.) of the exact flow
 NEWTON_TOL = 1e-10      # closure residual |φ(z) - z| of a periodic orbit
@@ -47,12 +45,7 @@ class PeriodicOrbit:
 
 
 def _field_only_x(t, t0: float, x0: float, p0: float, laser: LaserParams):
-    """Position on the field-only path through (x0, p0) at t0.
-
-    x0 is added last, so x(t) - c on the path with x0 = 0 carries the bits
-    of the path with x0 = -c: `find_returns` evaluates one mesh for both
-    of its targets ±ℓ.
-    """
+    """Position on the field-only path through (x0, p0) at t0."""
     w, f = laser.omega_L, laser.F_L
     t = np.asarray(t, dtype=float)
     return ((p0 - (f / w) * np.cos(w * t0)) * (t - t0)
@@ -84,66 +77,64 @@ def return_energy(t_r, t_i: float, laser: LaserParams):
     return 2.0 * up * (np.cos(w * t_r) - np.cos(w * t_i)) ** 2
 
 
-def _sfa_position_float(t_i: float, laser: LaserParams):
-    """`sfa_position` from t_i as a function of one Python float, with the
-    launch terms computed once.
-
-    It repeats the IEEE operations of `_field_only_x` in their order, with
-    math.sin and math.cos, which agree with numpy's bit for bit, so it
-    returns the bits of the array evaluation without numpy's per-call cost.
-    """
+def _field_only_x_float(t0: float, x0: float, p0: float, laser: LaserParams):
+    """`_field_only_x` as a function of one Python float, without numpy's
+    per-call cost: the same IEEE operations in their order, with math.sin
+    and math.cos, which agree with numpy's bit for bit."""
     w, f = laser.omega_L, laser.F_L
-    drift = 0.0 - (f / w) * math.cos(w * t_i)
+    drift = p0 - (f / w) * math.cos(w * t0)
     quiver = f / w**2
-    sin_i = math.sin(w * t_i)
+    sin_0 = math.sin(w * t0)
     sin = math.sin
 
     def x_at(t):
-        return drift * (t - t_i) + quiver * (sin(w * t) - sin_i) + 0.0
+        return drift * (t - t0) + quiver * (sin(w * t) - sin_0) + x0
 
     return x_at
 
 
-def _bracket_roots(fn, fn_float, t_from: float, horizon: float,
-                   mesh_per_cycle: int, laser: LaserParams,
-                   levels: list[float]) -> list[np.ndarray]:
-    """For each level c, all roots of fn(t) = c within `horizon` cycles
-    after t_from, excluding t_from itself, by mesh + bisection.
+def _knots(t0: float, p0: float, laser: LaserParams,
+           horizon: float) -> list[float]:
+    """t0, the turning times of the field-only path with p(t0) = p0 within
+    `horizon` cycles after t0, and t0 + horizon·T, in order.
 
-    fn is evaluated once on the whole mesh array.  Each level's brackets
-    are then bisected in lockstep, calling fn_float, which must return the
-    bits of fn on one Python float, until every one of them is narrower
-    than ROOT_TOL: at a few brackets per level that costs less than numpy's
-    per-call overhead on arrays of that size.  A mesh value equal to c is a
-    root; a zero product of signs is no sign change.
+    p(t) = p0 + (F_L/ω)(cos ωt - cos ωt0) vanishes where cos ωt = cos ωt0 -
+    ωp0/F_L, at ±φ + kT; from rest φ = t0 exactly.  Between two knots the
+    path is monotone.  A turning time within ROOT_TOL of t0 is left out.
     """
-    n_mesh = int(round(mesh_per_cycle * horizon))
-    span = horizon * laser.period
-    t = np.linspace(t_from + span / n_mesh, t_from + span, n_mesh + 1)
-    on_mesh = fn(t)
-    roots = []
-    for level in levels:
-        v = on_mesh - level
-        sign = np.sign(v)
-        flip = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-        exact = np.flatnonzero(v[1:] == 0.0)
-        lo, hi = t[flip].tolist(), t[flip + 1].tolist()
-        v_lo = v[flip].tolist()
-        while lo and max(map(sub, hi, lo)) > ROOT_TOL:
-            for k in range(len(lo)):
-                mid = 0.5 * (lo[k] + hi[k])
-                v_mid = fn_float(mid) - level
-                if v_lo[k] < 0.0 < v_mid or v_mid < 0.0 < v_lo[k]:
-                    hi[k] = mid
-                else:
-                    lo[k], v_lo[k] = mid, v_mid
-        mids = [0.5 * (l + h) for l, h in zip(lo, hi)]
-        roots.append(np.sort(np.concatenate([mids, t[exact + 1]])))
-    return roots
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+    w, f, period = laser.omega_L, laser.F_L, laser.period
+    end = t0 + horizon * period
+    c = math.cos(w * t0) - w * p0 / f if f else math.inf
+    if abs(c) > 1.0:        # no field, or p never vanishes
+        return [t0, end]
+    phase = t0 if p0 == 0.0 else math.acos(c) / w
+    turns = (phi + k * period for phi in (phase, -phase)
+             for k in range(math.floor((t0 - phi) / period),
+                            math.ceil((end - phi) / period) + 1))
+    return [t0, *sorted(t for t in turns if t0 + ROOT_TOL < t < end), end]
+
+
+def _bracket_roots(x_at, knots: list[float], level: float):
+    """Yield the roots of x_at(t) = level between the first and the last
+    knot, in order, x_at being monotone between consecutive knots: each
+    piece [a, b] with x(a) ≠ level and (x(a) - level)(x(b) - level) ≤ 0
+    holds one, bisected until its bracket is narrower than ROOT_TOL.  So
+    the launch, a tangency and a path resting on the level each give one
+    root at most.
+    """
+    v = [x_at(t) - level for t in knots]
+    for a, b, v_a, v_b in zip(knots, knots[1:], v, v[1:]):
+        if v_a == 0.0 or v_a * v_b > 0.0:
+            continue
+        while b - a > ROOT_TOL and a < (mid := 0.5 * (a + b)) < b:
+            a, b = (mid, b) if (x_at(mid) - level) * v_a > 0.0 else (a, mid)
+        yield 0.5 * (a + b)
 
 
 def find_returns(t_i: float, ell: float, laser: LaserParams,
-                 horizon: float = 1.5, mesh_per_cycle: int = MESH_PER_CYCLE
+                 horizon: float = 1.5
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All arrivals |x(t_r)| = ell within `horizon` cycles after launch.
 
@@ -154,10 +145,10 @@ def find_returns(t_i: float, ell: float, laser: LaserParams,
     if ell < 0:
         raise ValueError("return distance must be nonnegative")
     targets = [0.0] if ell == 0.0 else [ell, -ell]
-    roots = _bracket_roots(lambda t: _field_only_x(t, t_i, 0.0, 0.0, laser),
-                           _sfa_position_float(t_i, laser), t_i, horizon,
-                           mesh_per_cycle, laser, targets)
-    side = np.repeat(np.sign(targets), [r.size for r in roots]).astype(int)
+    x_at = _field_only_x_float(t_i, 0.0, 0.0, laser)
+    knots = _knots(t_i, 0.0, laser, horizon)
+    roots = [list(_bracket_roots(x_at, knots, target)) for target in targets]
+    side = np.repeat(np.sign(targets), [len(r) for r in roots]).astype(int)
     t_r = np.concatenate(roots)
     order = np.argsort(t_r, kind="stable")
     t_r = t_r[order]
@@ -169,10 +160,9 @@ def find_returns(t_i: float, ell: float, laser: LaserParams,
 
 
 def max_return_energy(ell: float, laser: LaserParams, horizon: float = 1.5,
-                      n_launch: int = 2000,
-                      mesh_per_cycle: int = MESH_PER_CYCLE) -> float:
+                      n_launch: int = 2000) -> float:
     """Maximum return energy at distance ell over launch phases in [0, T_L)."""
-    e_r = [find_returns(t_i, ell, laser, horizon, mesh_per_cycle)[1]
+    e_r = [find_returns(t_i, ell, laser, horizon)[1]
            for t_i in np.linspace(0.0, laser.period, n_launch,
                                   endpoint=False)]
     return float(np.concatenate(e_r).max(initial=0.0))
@@ -203,14 +193,13 @@ class BackscatterTrajectory:
         return np.where(t < self.t_s, sfa_momentum(t, self.t_i, self.laser),
                         _field_only_p(t, self.t_s, -self.p_s, self.laser))
 
-    def origin_returns(self, horizon: float = 1.5,
-                       mesh_per_cycle: int = MESH_PER_CYCLE
+    def origin_returns(self, horizon: float = 1.5
                        ) -> tuple[np.ndarray, np.ndarray]:
         """Arrival times at x = 0 after the reversal, and the kinetic
         energies there."""
-        (t_r,) = _bracket_roots(self.position,
-                                lambda t: float(self.position(t)), self.t_s,
-                                horizon, mesh_per_cycle, self.laser, [0.0])
+        t_r = np.fromiter(_bracket_roots(
+            _field_only_x_float(self.t_s, self.x_s, -self.p_s, self.laser),
+            _knots(self.t_s, -self.p_s, self.laser, horizon), 0.0), float)
         return t_r, 0.5 * self.momentum(t_r) ** 2
 
 
@@ -370,18 +359,14 @@ def find_periodic_orbit(guess, t0: float, laser: LaserParams,
         g = z_t - z
         residual = float(np.linalg.norm(g))
         jac_det = float(np.linalg.det(m - np.eye(2)))
+        if abs(jac_det) < 1e-9:
+            raise OrbitError(
+                "singular Jacobian: fixed point is non-isolated or parabolic "
+                f"(|det(M-I)| = {abs(jac_det):.2e})", residual)
         if residual < NEWTON_TOL:
-            if abs(jac_det) < 1e-9:
-                raise OrbitError(
-                    "fixed point is non-isolated or parabolic "
-                    f"(|det(M-I)| = {abs(jac_det):.2e})", residual)
             return PeriodicOrbit(z_star=z, t0=t0, monodromy=m,
                                  classification=classify(m),
                                  residual=residual)
-        if abs(jac_det) < 1e-9:
-            raise OrbitError(
-                "singular Jacobian: fixed point is non-isolated or parabolic",
-                residual)
         delta = np.linalg.solve(m - np.eye(2), -g)
         cap = 0.25 * (1.0 + np.linalg.norm(z))
         if np.linalg.norm(delta) > cap:

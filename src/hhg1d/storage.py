@@ -332,9 +332,15 @@ class Manifest:
             raise MissingArtifactError(f"missing manifest: {mpath}")
         m = cls(directory)
         try:
-            m.data = json.loads(mpath.read_text())
+            m.data = data = json.loads(mpath.read_text())
         except ValueError as exc:
             raise MalformedRecordError(f"{mpath}: {exc}") from None
+        if not (isinstance(data, dict) and isinstance(data.get("config"), str)
+                and type(data.get("master_seed")) is int
+                and isinstance(data.get("outputs"), dict)
+                and all(isinstance(v, str) for v in data["outputs"].values())):
+            raise MalformedRecordError(f"{mpath}: not an object of config, "
+                                       f"master_seed and outputs")
         return m
 
     def verify_outputs(self, names) -> list[str]:

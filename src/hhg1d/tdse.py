@@ -35,6 +35,15 @@ class ConvergenceError(RuntimeError):
         self.last_value = last_value
 
 
+class PropagationFailure(RuntimeError):
+    """A non-finite norm; carries the configuration index and the step."""
+
+    def __init__(self, config_index: int, step: int):
+        super().__init__(f"propagation failed for configuration "
+                         f"{config_index}: norm not finite at step {step}")
+        self.config_index, self.step = config_index, step
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform spatial grid with the matching FFT momentum grid."""
@@ -185,10 +194,11 @@ def propagate(psi0: np.ndarray, plan: PropagatorPlan, t_start: float,
     """March from t_start to t_end, recording every `record_stride` steps.
 
     The plan's absorber mask, if any, multiplies each fresh stepped state
-    in place.  Snapshots are stored at the step times closest to each
-    requested probe time.  `static_gradient` is d/dx of the static
-    potential, needed by the acceleration recorder; shapes follow
-    `static_potential` in the plan.
+    in place.  The first record whose norm is not finite raises
+    `PropagationFailure`, naming the batch row and the step.  Snapshots
+    are stored at the step times closest to each requested probe time.
+    `static_gradient` is d/dx of the static potential, needed by the
+    acceleration recorder; shapes follow `static_potential` in the plan.
     """
     dt = plan.dt
     n_steps = int(round((t_end - t_start) / dt))
@@ -223,6 +233,8 @@ def propagate(psi0: np.ndarray, plan: PropagatorPlan, t_start: float,
             j = k // record_stride
             dens = np.abs(psi) ** 2
             w = np.sum(dens, axis=-1) * dx
+            if not np.isfinite(w).all():     # argmin: the first such row
+                raise PropagationFailure(int(np.argmin(np.isfinite(w))), k)
             times[j], norm[j] = t_now, w
             x_expect[j] = np.sum(dens * x, axis=-1) * dx
             accel[j] = -np.sum(dens * grad, axis=-1) * dx

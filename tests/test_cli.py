@@ -398,11 +398,34 @@ class TestRecordChecks:
     @pytest.mark.parametrize("command", ["spectrum", "pair-correlation"])
     def test_corrupt_manifest_is_3(self, command, records, tmp_path,
                                    capsys):
+        # truncated JSON, and JSON that is not a manifest object
         path = records / "manifest.json"
-        path.write_text(path.read_text()[:-10])
+        for text in (path.read_text()[:-10], "[]\n", "{}\n"):
+            path.write_text(text)
+            err = self.refused_with_3(command, records, tmp_path, capsys)
+            assert err.startswith(f"missing artifact: malformed record "
+                                  f"file: {path}: ")
+
+    @pytest.mark.parametrize("command", ["spectrum", "gabor"])
+    def test_no_configuration_column_is_3(self, command, records, tmp_path,
+                                          capsys):
+        path = records / "accel_configs.bin"
+        rows, cols, accel, rl, cl = read_map(path)
+        write_map(path, rows, cols[:0], accel[:, :0], rl, cl)
         err = self.refused_with_3(command, records, tmp_path, capsys)
-        assert err.startswith(f"missing artifact: malformed record file: "
-                              f"{path}: ")
+        assert (f"malformed record file: {path}: {rows.size} time row(s) "
+                f"and 0 configuration column(s)") in err
+
+    def test_empty_fit_window_is_3(self, records, tmp_path, capsys):
+        # every snapshot file keeps its first record only, at t = 0, before
+        # the fit window (n_up·T, duration)
+        snaps = records / "snapshots"
+        for snap in snaps.glob("config_*.bin"):
+            x_min, x_max, times, states = read_wavefunctions(snap)
+            write_wavefunctions(snap, x_min, x_max, times[:1], states[:1])
+        err = self.refused_with_3("purity", records, tmp_path, capsys)
+        assert (f"missing artifact: {snaps}: no snapshot time in the fit "
+                f"window [") in err
 
     # each storage reader refuses a file whose first four bytes are wrong,
     # and a command that reads that file exits 3 naming it

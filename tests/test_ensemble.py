@@ -214,16 +214,64 @@ class TestRunEnsemble:
 
 
 class TestFailureReporting:
-    def test_propagation_failure_carries_config_index(self):
-        from hhg1d.ensemble import PropagationFailure, _propagate_block
+    @pytest.fixture
+    def block(self):
         from hhg1d.sampler import SeededRng, sample_configuration
         spec = EnsembleSpec(n_c=2, **TINY)
         configs = [sample_configuration(SeededRng(0, i), spec.structure)
                    for i in range(2)]
+        return spec, configs
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """Counts `tdse.step` calls; `steps.poison[k] = row` turns that
+        row of the state from call k on into NaN."""
+        real_step = tdse.step
+
+        def counting_step(psi, t, plan):
+            counting_step.calls += 1
+            psi = real_step(psi, t, plan)
+            row = counting_step.poison.get(counting_step.calls)
+            if row is not None:
+                psi[row] = np.nan
+            return psi
+
+        counting_step.calls, counting_step.poison = 0, {}
+        monkeypatch.setattr(tdse, "step", counting_step)
+        return counting_step
+
+    def test_propagation_failure_carries_config_index(self, block):
+        from hhg1d.ensemble import PropagationFailure, _propagate_block
+        spec, configs = block
         poisoned = np.full(spec.grid().n, np.nan, dtype=complex)
         with pytest.raises(PropagationFailure) as exc:
             _propagate_block(spec, configs, poisoned, first_index=5)
         assert exc.value.config_index == 5
+
+    def test_poisoned_state_is_never_stepped(self, block, steps):
+        from hhg1d.ensemble import PropagationFailure, _propagate_block
+        spec, configs = block
+        poisoned = np.full(spec.grid().n, np.nan, dtype=complex)
+        with pytest.raises(PropagationFailure) as exc:
+            _propagate_block(spec, configs, poisoned, first_index=5)
+        assert (exc.value.config_index, exc.value.step) == (5, 0)
+        assert "configuration 5" in str(exc.value)
+        assert "step 0" in str(exc.value)
+        assert steps.calls == 0
+
+    def test_nan_mid_run_names_its_record_step(self, block, steps):
+        from hhg1d.ensemble import PropagationFailure, _propagate_block
+        spec, configs = block
+        assert spec.record_stride == 2
+        psi0, _ = ground_state(spec.grid(),
+                               lambda x: potential_atom(x, spec.atom))
+        steps.poison[41] = 1       # step 41; the next record is step 42
+        with pytest.raises(PropagationFailure) as exc:
+            _propagate_block(spec, configs, psi0, first_index=3)
+        assert (exc.value.config_index, exc.value.step) == (4, 42)
+        assert "configuration 4: norm not finite at step 42" \
+            in str(exc.value)
+        assert steps.calls == 42
 
 
 class TestPuritySeries:

@@ -5,9 +5,9 @@ import pytest
 
 from hhg1d.model import (AtomParams, LaserParams, ponderomotive_energy,
                          potential_atom)
-from hhg1d.semiclassics import (FLOW_STEP, MESH_PER_CYCLE, ROOT_TOL,
-                                BackscatterTrajectory, OrbitError, _drift_kick,
-                                _sfa_position_float, classify, classical_flow,
+from hhg1d.semiclassics import (FLOW_STEP, ROOT_TOL, BackscatterTrajectory,
+                                OrbitError, _drift_kick, _field_only_x_float,
+                                classify, classical_flow,
                                 find_periodic_orbit,
                                 find_returns, max_return_energy, monodromy,
                                 overlay_orbit, quiver_guess, return_energy,
@@ -18,12 +18,15 @@ LASER = LaserParams(F_L=0.15, omega_L=0.044)
 ATOM = AtomParams()
 T = LASER.period
 UP = ponderomotive_energy(LASER)
+ORACLE_MESH_PER_CYCLE = 20000   # cells of T/20000 ≈ 0.007 a.u.
 
 
 def roots_on_arrays(fn, t_from, horizon):
-    """Reference arrival search: mesh + bisection of every bracket at once
-    as numpy arrays, until every bracket is narrower than ROOT_TOL."""
-    n_mesh = int(round(MESH_PER_CYCLE * horizon))
+    """Reference arrival search, independent of the turning times: a dense
+    mesh + bisection of every bracket at once as numpy arrays, until every
+    bracket is narrower than ROOT_TOL.  It misses two crossings that fall
+    inside one mesh cell."""
+    n_mesh = int(round(ORACLE_MESH_PER_CYCLE * horizon))
     span = horizon * T
     t = np.linspace(t_from + span / n_mesh, t_from + span, n_mesh + 1)
     v = fn(t)
@@ -104,10 +107,16 @@ class TestSfaTrajectory:
     def test_float_position_is_bitwise_array_position(self):
         rng = np.random.default_rng(36)
         for t_i in rng.uniform(0, T, 20):
-            x_at = _sfa_position_float(t_i, LASER)
+            x_at = _field_only_x_float(t_i, 0.0, 0.0, LASER)
             t = t_i + rng.uniform(0, 2.5 * T, 500)
             got = np.array([x_at(s) for s in t.tolist()])
             assert got.tobytes() == sfa_position(t, t_i, LASER).tobytes()
+            # the second segment of a backscattered path
+            traj = BackscatterTrajectory(t_i, t_i + 0.4 * T, LASER)
+            x_at = _field_only_x_float(traj.t_s, traj.x_s, -traj.p_s, LASER)
+            t = traj.t_s + rng.uniform(0, 2.5 * T, 500)
+            got = np.array([x_at(s) for s in t.tolist()])
+            assert got.tobytes() == traj.position(t).tobytes()
 
     def test_energy_identity(self):
         rng = np.random.default_rng(2)
@@ -137,23 +146,54 @@ class TestReturns:
         for _ in range(60):
             t_i = rng.uniform(0, T)
             ell = rng.uniform(0, 40.0)
-            coarse = find_returns(t_i, ell, LASER, mesh_per_cycle=2000)
-            fine = find_returns(t_i, ell, LASER, mesh_per_cycle=4000)
-            assert coarse[0].size == fine[0].size
+            got = find_returns(t_i, ell, LASER)[0]
+            want = returns_on_arrays(t_i, ell, 1.5)[0]
+            assert got.size == want.size
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
-    def test_bitwise_equal_to_array_bisection(self):
+    def test_matches_dense_mesh_bisection(self):
         rng = np.random.default_rng(34)
         arrivals = 0
         for k in range(200):
             t_i = rng.uniform(0, T)
             ell = 0.0 if k % 4 == 0 else rng.uniform(0, 40.0)
             horizon = rng.uniform(0.2, 2.5)
-            got = find_returns(t_i, ell, LASER, horizon)
-            want = returns_on_arrays(t_i, ell, horizon)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-            arrivals += got[0].size
+            t_r, e_r, side = find_returns(t_i, ell, LASER, horizon)
+            want_t, want_e, want_side = returns_on_arrays(t_i, ell, horizon)
+            assert t_r.dtype == e_r.dtype == want_t.dtype
+            assert side.dtype == want_side.dtype
+            assert t_r.size == want_t.size
+            np.testing.assert_array_equal(side, want_side)
+            np.testing.assert_allclose(t_r, want_t, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(e_r, want_e, rtol=0, atol=1e-8)
+            arrivals += t_r.size
         assert arrivals > 200
+
+    def test_zero_field_has_no_returns(self):
+        # the path rests on x = 0: neither a root nor a crossing of ±ell
+        laser_off = LaserParams(F_L=0.0, omega_L=0.044)
+        for ell in (0.0, 5.0):
+            t_r, e_r, side = find_returns(0.3 * T, ell, laser_off)
+            assert t_r.size == e_r.size == side.size == 0
+        traj = BackscatterTrajectory(0.1 * T, 0.6 * T, laser_off)
+        assert traj.origin_returns()[0].size == 0
+
+    def test_grazing_level_gives_both_crossings(self):
+        # 1e-6 inside the extremum at the turning time T - t_i, |x| = ell
+        # twice within 0.01 a.u., both inside one cell of a T/2000 mesh
+        t_i = 0.1 * T
+        t_turn = T - t_i
+        ell = abs(float(sfa_position(t_turn, t_i, LASER))) - 1e-6
+        t_r, _, side = find_returns(t_i, ell, LASER)
+        near = np.abs(t_r - t_turn) < 0.01
+        assert near.sum() == 2
+        before, after = t_r[near]
+        assert before < t_turn < after
+        assert after - before < T / 2000
+        np.testing.assert_array_equal(side[near], -1)
+        np.testing.assert_allclose(
+            np.abs(sfa_position(t_r[near], t_i, LASER)), ell, rtol=0,
+            atol=1e-9)
 
     def test_arrays_are_aligned_arrivals(self):
         rng = np.random.default_rng(21)
@@ -227,8 +267,10 @@ class TestBackscatter:
                                          LASER)
             t_r, e_r = traj.origin_returns()
             want = roots_on_arrays(traj.position, traj.t_s, 1.5)
-            assert t_r.tobytes() == want.tobytes()
-            assert e_r.tobytes() == (0.5 * traj.momentum(want) ** 2).tobytes()
+            assert t_r.size == want.size
+            np.testing.assert_allclose(t_r, want, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(e_r, 0.5 * traj.momentum(want) ** 2,
+                                       rtol=0, atol=1e-8)
             arrivals += t_r.size
         assert arrivals > 10
 
@@ -238,7 +280,7 @@ class TestBackscatter:
         for t_i in np.linspace(0.0, 0.5 * T, 40):
             for t_s in np.linspace(t_i + 0.05 * T, t_i + T, 40):
                 traj = BackscatterTrajectory(t_i, t_s, LASER)
-                _, e_r = traj.origin_returns(horizon=1.5, mesh_per_cycle=400)
+                _, e_r = traj.origin_returns(horizon=1.5)
                 best = max(best, e_r.max(initial=0.0))
         assert best > 3.17 * UP
 
