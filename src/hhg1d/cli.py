@@ -38,7 +38,7 @@ from .sampler import pair_correlation, sample_ensemble, save_configurations, \
     load_configurations
 from .semiclassics import (OrbitError, find_periodic_orbit, find_returns,
                            max_return_energy, quiver_guess, symmetry_partner)
-from .spectra import fit_purity_decay, gabor, hhg_spectrum
+from .spectra import fit_purity_decay, gabor, hhg_spectrum, in_fit_window
 from .storage import (MalformedRecordError, Manifest, MissingArtifactError,
                       SnapshotSet, read_map, read_wavefunctions, write_csv,
                       write_map, write_wavefunctions)
@@ -245,7 +245,7 @@ def cmd_purity(args) -> int:
     cfg = run.cfg
     times, snaps = run.snapshots()
     lo, hi = window = (cfg.laser.n_up * cfg.laser.period, cfg.laser.duration)
-    if not np.any((times >= lo) & (times <= hi)):
+    if not np.any(in_fit_window(times, window)):
         raise MissingArtifactError(f"{run.rdir / 'snapshots'}: no snapshot "
                                    f"time in the fit window [{lo:g}, {hi:g}]")
     t_axis, p_tot, p_ph = purity_series(times, snaps, run.grid, cfg.mask)

@@ -200,6 +200,11 @@ def _decay_jacobian(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
     ])
 
 
+def in_fit_window(times_au: np.ndarray, window) -> np.ndarray:
+    """Mask of the times inside the closed fit window [lo, hi]."""
+    return (times_au >= window[0]) & (times_au <= window[1])
+
+
 def fit_purity_decay(times_au: np.ndarray, p: np.ndarray,
                      window: tuple[float, float] | None = None) -> PurityFit:
     """Fit the saturating-exponential purity model over the given window.
@@ -214,7 +219,7 @@ def fit_purity_decay(times_au: np.ndarray, p: np.ndarray,
     times_au = np.asarray(times_au, dtype=float)
     p = np.asarray(p, dtype=float)
     if window is not None:
-        sel = (times_au >= window[0]) & (times_au <= window[1])
+        sel = in_fit_window(times_au, window)
         if not np.any(sel):
             raise ValueError("fit window contains no samples")
         times_au, p = times_au[sel], p[sel]

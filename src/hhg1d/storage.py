@@ -63,10 +63,9 @@ def write_csv(path, columns: dict[str, np.ndarray], subcommand: str,
     if len(n_rows) != 1:
         raise ValueError("CSV columns differ in length")
     with open(path, "w") as fh:
-        fh.write(f"# produced-by: hhg1d {subcommand}\n")
-        fh.write(f"# version: {__version__}\n")
-        fh.write(f"# manifest: {manifest_checksum}\n")
-        for line in extra_comments:
+        for line in (f"produced-by: hhg1d {subcommand}",
+                     f"version: {__version__}",
+                     f"manifest: {manifest_checksum}", *extra_comments):
             fh.write(f"# {line}\n")
         fh.write(",".join(cols) + "\n")
         for row in zip(*cols.values()):

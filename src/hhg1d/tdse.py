@@ -39,9 +39,12 @@ class PropagationFailure(RuntimeError):
     """A non-finite norm; carries the configuration index and the step."""
 
     def __init__(self, config_index: int, step: int):
-        super().__init__(f"propagation failed for configuration "
-                         f"{config_index}: norm not finite at step {step}")
+        super().__init__(config_index, step)    # args rebuild it unpickled
         self.config_index, self.step = config_index, step
+
+    def __str__(self):
+        return (f"propagation failed for configuration {self.config_index}: "
+                f"norm not finite at step {self.step}")
 
 
 @dataclass(frozen=True)
@@ -89,11 +92,9 @@ def absorber_mask(grid: Grid, band_fraction: float = 0.1) -> np.ndarray:
     if not 0.0 < band_fraction < 0.5:
         raise ValueError("band_fraction must lie in (0, 0.5)")
     width = band_fraction * (grid.x_max - grid.x_min)
-    left = grid.x_min + width
-    right = grid.x_max - width
+    left, right = grid.x_min + width, grid.x_max - width
     mask = np.ones(grid.n)
-    s = np.zeros(grid.n)
-    s = np.where(grid.x < left, (left - grid.x) / width, s)
+    s = np.where(grid.x < left, (left - grid.x) / width, 0.0)
     s = np.where(grid.x > right, (grid.x - right) / width, s)
     band = (s > 0) & (s < 1)
     mask[band] = np.cos(0.5 * np.pi * s[band]) ** 0.125
@@ -117,10 +118,7 @@ class PropagatorPlan:
                  laser: LaserParams, mask: np.ndarray | None = None):
         if dt == 0.0:
             raise ValueError("dt must be nonzero")
-        self.grid = grid
-        self.dt = dt
-        self.laser = laser
-        self.mask = mask
+        self.grid, self.dt, self.laser, self.mask = grid, dt, laser, mask
         kin = -0.5j * dt * grid.p**2
         self.kinetic_factors = [np.exp(a * kin) for a in DRIFT_COEFFS]
         pot = -1j * dt * np.asarray(static_potential, dtype=float)
@@ -341,11 +339,9 @@ def fd_eigenstates(grid: Grid, potential: np.ndarray,
     from scipy.sparse.linalg import eigsh
 
     n, dx = grid.n, grid.dx
-    main = np.full(n, 5.0 / 2.0)
-    off1 = np.full(n - 1, -4.0 / 3.0)
-    off2 = np.full(n - 2, 1.0 / 12.0)
-    lap = scipy.sparse.diags(
-        [off2, off1, main, off1, off2], [-2, -1, 0, 1, 2]) / dx**2
+    lap = scipy.sparse.diags([1.0 / 12.0, -4.0 / 3.0, 5.0 / 2.0, -4.0 / 3.0,
+                              1.0 / 12.0], [-2, -1, 0, 1, 2],
+                             shape=(n, n)) / dx**2
     ham = 0.5 * lap + scipy.sparse.diags(np.asarray(potential))
     vals, vecs = eigsh(ham.tocsc(), k=n_states, which="SA")
     order = np.argsort(vals)

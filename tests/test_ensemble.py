@@ -248,6 +248,29 @@ class TestFailureReporting:
             _propagate_block(spec, configs, poisoned, first_index=5)
         assert exc.value.config_index == 5
 
+    def test_propagation_failure_survives_pickling(self):
+        import pickle
+        from hhg1d.ensemble import PropagationFailure
+        exc = PropagationFailure(7, 42)
+        back = pickle.loads(pickle.dumps(exc))
+        assert (back.config_index, back.step) == (7, 42)
+        assert str(back) == str(exc) == \
+            "propagation failed for configuration 7: norm not finite at step 42"
+
+    def test_worker_failure_reaches_the_parent(self, block):
+        # a block run in a worker process sends its failure back pickled; a
+        # class that cannot be rebuilt there breaks the pool instead
+        from concurrent.futures import ProcessPoolExecutor
+        from hhg1d.ensemble import PropagationFailure, _propagate_block
+        spec, configs = block
+        poisoned = np.full(spec.grid().n, np.nan, dtype=complex)
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(_propagate_block, spec, configs, poisoned, 5)
+            with pytest.raises(PropagationFailure) as exc:
+                future.result()
+        assert (exc.value.config_index, exc.value.step) == (5, 0)
+        assert "configuration 5: norm not finite at step 0" in str(exc.value)
+
     def test_poisoned_state_is_never_stepped(self, block, steps):
         from hhg1d.ensemble import PropagationFailure, _propagate_block
         spec, configs = block
