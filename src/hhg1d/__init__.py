@@ -39,7 +39,7 @@ from .spectra import (GaborMap, PurityFit, Spectrum, find_cutoff,
                       fit_purity_decay, gabor, harmonic_peaks, hhg_spectrum,
                       parity_contrast, plateau_statistics)
 from .tdse import (Grid, PropagationRecord, PropagatorPlan, absorber_mask,
-                   fd_eigenstates, ground_state, propagate, step)
+                   ground_state, propagate, step)
 
 __all__ = [
     "AtomParams", "BackscatterTrajectory", "EnsembleRecord", "EnsembleSpec",
@@ -48,7 +48,7 @@ __all__ = [
     "PropagatorPlan", "PurityFit", "SeededRng", "Spectrum",
     "StructureParams", "absorber_mask", "classical_flow",
     "default_perturber_count", "density_matrix_map", "envelope",
-    "fd_eigenstates", "field_at", "find_cutoff", "find_periodic_orbit",
+    "field_at", "find_cutoff", "find_periodic_orbit",
     "find_returns", "fit_purity_decay", "gabor", "gradient_atom",
     "gradient_env", "ground_state", "harmonic_peaks", "hhg_spectrum",
     "max_return_energy", "monodromy", "overlay_orbit",

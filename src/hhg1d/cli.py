@@ -121,8 +121,9 @@ def cmd_sample_env(args) -> int:
 def cmd_run(args) -> int:
     cfg, out, manifest = _start(args)
     record = run_ensemble(cfg, workers=cfg.workers)
-    config_txt, env_txt, mean_csv = paths = [
-        out / "config.txt", out / "environment.txt", out / "mean_series.csv"]
+    config_txt, env_txt, mean_csv, accel_bin = paths = [
+        out / "config.txt", out / "environment.txt", out / "mean_series.csv",
+        out / "accel_configs.bin"]
     config_txt.write_text(render_config(cfg))
     save_configurations(env_txt, record.configs, cfg.structure,
                         cfg.master_seed)
@@ -133,11 +134,8 @@ def cmd_run(args) -> int:
               "run", manifest.checksum(),
               extra_comments=(f"ground_energy_au: {record.ground_energy:.12f}",
                               f"n_c: {record.n_c}"))
-    config_axis = np.arange(record.n_c, dtype=float)
-    for name in ("accel", "norm", "x_expect"):
-        paths.append(out / f"{name}_configs.bin")
-        write_map(paths[-1], record.times, config_axis,
-                  getattr(record, name), "t", "config")
+    write_map(accel_bin, record.times, np.arange(record.n_c, dtype=float),
+              record.accel, "t", "config")
     snap_dir = out / "snapshots"
     snap_dir.mkdir(exist_ok=True)
     for i in range(record.n_c):
@@ -185,19 +183,22 @@ class _Analysis:
                               f"index of these records (0..{accel.shape[1] - 1})")
         return t_axis, accel[:, member]
 
-    def snapshots(self) -> tuple[np.ndarray, SnapshotSet]:
-        """Snapshot times and the stored states, read one (n_c, n) probe
-        at a time.
-
-        Every file is hashed first; every record must carry the time and
-        grid of its probe in `config_0000.bin`.
+    def snapshots(self, window=None) -> tuple[np.ndarray, SnapshotSet]:
+        """Snapshot times and the states of the `snapshots/` files that the
+        manifest lists, read one (n_c, n) probe at a time; a fit `window`
+        that holds no time of the first file is refused before any hashing.
         """
-        snap_dir = self.rdir / "snapshots"
-        files = sorted(snap_dir.glob("config_*.bin"))
+        files = [self.rdir / name for name in sorted(self.manifest.data[
+            "outputs"]) if name.startswith("snapshots/")]
         if not files:
-            raise MissingArtifactError(f"no snapshots under {snap_dir}")
+            raise MissingArtifactError(f"no snapshots in {self.manifest.path}")
+        times = read_wavefunctions(files[0])[2]
+        if window is not None and not np.any(in_fit_window(times, window)):
+            raise MissingArtifactError(
+                f"{self.rdir / 'snapshots'}: no snapshot time in the fit "
+                f"window [{window[0]:g}, {window[1]:g}]")
         _verify(self.manifest, *files)
-        return read_wavefunctions(files[0])[2], SnapshotSet(files)
+        return times, SnapshotSet(files)
 
     def save(self, *paths: Path) -> None:
         if self.out == self.rdir:
@@ -222,11 +223,13 @@ def cmd_gabor(args) -> int:
     if not 0 < args.d_order < np.inf:
         raise ConfigError(f"--d-order must be finite and > 0, "
                           f"got {args.d_order:g}")
-    if not 0 <= args.max_order < np.inf:
-        raise ConfigError(f"--max-order must be finite and >= 0, "
-                          f"got {args.max_order:g}")
     run = _Analysis(args)
     laser = run.cfg.laser
+    # a column above the records' Nyquist order mirrors one below it
+    nyquist = np.pi / (run.cfg.record_stride * run.cfg.dt * laser.omega_L)
+    if not 0 <= args.max_order <= nyquist:
+        raise ConfigError(f"--max-order must lie in [0, {nyquist:.1f}], the "
+                          f"records' Nyquist order, got {args.max_order:g}")
     t_axis, series = run.accel(args.member)
     t_w = run.cfg.gabor_window_cycles * laser.period
     omegas = np.arange(0.0, args.max_order + 1e-9, args.d_order) \
@@ -243,11 +246,8 @@ def cmd_gabor(args) -> int:
 def cmd_purity(args) -> int:
     run = _Analysis(args)
     cfg = run.cfg
-    times, snaps = run.snapshots()
-    lo, hi = window = (cfg.laser.n_up * cfg.laser.period, cfg.laser.duration)
-    if not np.any(in_fit_window(times, window)):
-        raise MissingArtifactError(f"{run.rdir / 'snapshots'}: no snapshot "
-                                   f"time in the fit window [{lo:g}, {hi:g}]")
+    window = (cfg.laser.n_up * cfg.laser.period, cfg.laser.duration)
+    times, snaps = run.snapshots(window)
     t_axis, p_tot, p_ph = purity_series(times, snaps, run.grid, cfg.mask)
     # both fits before either file: a failed fit writes nothing
     fits = [fit_purity_decay(t_axis, series, window)
@@ -383,8 +383,6 @@ def cmd_pair_correlation(args) -> int:
         env, checksum = manifest.directory / "environment.txt", \
             manifest.checksum()
         _verify(manifest, env)
-    if not env.is_file():
-        raise MissingArtifactError(f"no environment file {env}")
     configs, _ = load_configurations(env)
     out = Path(args.out) if args.out else env.parent
     out.mkdir(parents=True, exist_ok=True)
@@ -466,7 +464,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MissingArtifactError as exc:
+    except FileNotFoundError as exc:  # MissingArtifactError among them
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except MalformedRecordError as exc:

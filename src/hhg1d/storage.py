@@ -344,10 +344,11 @@ class Manifest:
 
     def verify_outputs(self, names) -> list[str]:
         """Those of the given relative names whose recorded checksum no
-        longer matches; a name the manifest does not list is not checked."""
+        longer matches; a name the manifest does not list is not checked,
+        and a listed file that is gone raises FileNotFoundError."""
         stale = []
         for rel in names:
             digest, p = self.data["outputs"].get(rel), self.directory / rel
-            if digest and (not p.exists() or sha256_of(p) != digest):
+            if digest and sha256_of(p) != digest:
                 stale.append(rel)
         return stale

@@ -23,8 +23,9 @@ from hhg1d.semiclassics import (find_periodic_orbit, max_return_energy,
                                 quiver_guess, symmetry_partner)
 from hhg1d.spectra import (find_cutoff, fit_purity_decay, hhg_spectrum,
                            parity_contrast, plateau_statistics)
-from hhg1d.tdse import (Grid, PropagatorPlan, absorber_mask, fd_eigenstates,
-                        ground_state, propagate, state_norm, step)
+from hhg1d.tdse import (Grid, PropagatorPlan, absorber_mask, ground_state,
+                        propagate, state_norm, step)
+from oracles import fd_eigenstates
 
 ATOM = AtomParams()
 REDUCED = LaserParams(F_L=0.075, omega_L=0.057, n_up=2, n_plateau=4, n_down=2)

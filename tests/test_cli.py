@@ -115,6 +115,9 @@ BAD_INPUTS = {
                                  "--max-order", "-1"],
     "gabor_max_order_inf": ["gabor", "--records", "{records}",
                             "--max-order", "inf"],
+    # the tiny records' Nyquist order is π/(2·0.1·0.057) = 275.6
+    "gabor_max_order_above_nyquist": ["gabor", "--records", "{records}",
+                                      "--max-order", "1000"],
     "gabor_d_order_inf": ["gabor", "--records", "{records}",
                           "--d-order", "inf"],
     "density_map_x_range_between_points": ["density-map", "--records",
@@ -197,16 +200,29 @@ class TestExitCodes:
         assert tree_digest(tiny_records / "records", skip=()) == before
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def hashed_by(case, records, out, monkeypatch) -> list:
+        """The files BAD_INPUTS[case] hashes on `records` before it exits
+        2."""
+        hashed = []
+        monkeypatch.setattr("hhg1d.storage.sha256_of", hashed.append)
+        argv = [a.format(records=records) for a in BAD_INPUTS[case]]
+        assert main(argv + ["--out", str(out)]) == 2
+        return hashed
+
     @pytest.mark.parametrize("case", sorted(
         c for c in BAD_INPUTS if c.startswith("density_map")))
     def test_density_map_refuses_before_hashing(self, case, tiny_records,
                                                 tmp_path, monkeypatch):
-        hashed = []
-        monkeypatch.setattr("hhg1d.storage.sha256_of", hashed.append)
-        argv = [a.format(records=tiny_records / "records")
-                for a in BAD_INPUTS[case]]
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-        assert hashed == []
+        assert self.hashed_by(case, tiny_records / "records",
+                              tmp_path / "out", monkeypatch) == []
+
+    def test_gabor_above_nyquist_refuses_before_hashing(self, tiny_records,
+                                                        tmp_path,
+                                                        monkeypatch):
+        assert self.hashed_by("gabor_max_order_above_nyquist",
+                              tiny_records / "records", tmp_path / "out",
+                              monkeypatch) == []
 
     def test_pair_correlation_needs_one_source(self, tiny_records, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -416,16 +432,37 @@ class TestRecordChecks:
         assert (f"malformed record file: {path}: {rows.size} time row(s) "
                 f"and 0 configuration column(s)") in err
 
-    def test_empty_fit_window_is_3(self, records, tmp_path, capsys):
+    @pytest.fixture
+    def before_fit_window(self, records):
         # every snapshot file keeps its first record only, at t = 0, before
         # the fit window (n_up·T, duration)
-        snaps = records / "snapshots"
-        for snap in snaps.glob("config_*.bin"):
+        for snap in (records / "snapshots").glob("config_*.bin"):
             x_min, x_max, times, states = read_wavefunctions(snap)
             write_wavefunctions(snap, x_min, x_max, times[:1], states[:1])
-        err = self.refused_with_3("purity", records, tmp_path, capsys)
-        assert (f"missing artifact: {snaps}: no snapshot time in the fit "
-                f"window [") in err
+        return records
+
+    def test_empty_fit_window_is_3(self, before_fit_window, tmp_path,
+                                   capsys):
+        err = self.refused_with_3("purity", before_fit_window, tmp_path,
+                                  capsys)
+        assert (f"missing artifact: {before_fit_window / 'snapshots'}: no "
+                f"snapshot time in the fit window [") in err
+
+    def test_empty_fit_window_refused_before_hashing(self, before_fit_window,
+                                                     tmp_path, monkeypatch):
+        hashed = []
+        monkeypatch.setattr("hhg1d.storage.sha256_of", hashed.append)
+        assert main(["purity", "--records", str(before_fit_window),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert hashed == []
+
+    @pytest.mark.parametrize("command", ["purity", "density-map"])
+    def test_missing_listed_snapshot_is_3(self, command, records, tmp_path,
+                                          capsys):
+        snap = records / "snapshots" / "config_0001.bin"
+        snap.unlink()
+        err = self.refused_with_3(command, records, tmp_path, capsys)
+        assert err.startswith("missing artifact: ") and str(snap) in err
 
     # each storage reader refuses a file whose first four bytes are wrong,
     # and a command that reads that file exits 3 naming it
@@ -549,9 +586,31 @@ class TestPipeline:
                      "--seed", "14"]) == 0
         outputs = json.loads((out / "manifest.json").read_text())["outputs"]
         assert (out / "spectrum_mean.csv").exists()
-        assert "spectrum_mean.csv" not in outputs
-        assert "mean_series.csv" in outputs
-        assert "snapshots/config_0001.bin" in outputs
+        assert sorted(outputs) == [
+            "accel_configs.bin", "config.txt", "environment.txt",
+            "mean_series.csv", "snapshots/config_0000.bin",
+            "snapshots/config_0001.bin"]
+
+    def test_rerun_reads_only_its_own_snapshots(self, tiny_config, tmp_path):
+        # three configurations, then two of another seed into the same
+        # --out: config_0002.bin is left over and must not be read
+        three = tmp_path / "three.cfg"
+        three.write_text(TINY_CONFIG + "[ensemble]\nn_c = 3\n")
+        reused, clean = tmp_path / "reused", tmp_path / "clean"
+        assert main(["run", "--config", str(three), "--out", str(reused)]) == 0
+        for out in (reused, clean):
+            assert main(["run", "--config", str(tiny_config), "--out",
+                         str(out), "--seed", "9"]) == 0
+        assert (reused / "snapshots" / "config_0002.bin").exists()
+        products = {}
+        for out in (reused, clean):
+            for command in ("purity", "density-map"):
+                assert main([command, "--records", str(out),
+                             "--out", str(out / "analysis")]) == 0
+            products[out] = tree_digest(out / "analysis")
+        assert set(products[clean]) >= {"purity.csv",
+                                        "probability_density.bin"}
+        assert products[reused] == products[clean]
 
     def test_snapshot_files_carry_grid(self, tiny_config, tmp_path):
         out = tmp_path / "records2"

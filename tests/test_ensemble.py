@@ -10,8 +10,9 @@ from hhg1d.model import (AtomParams, EnvironmentConfig, LaserParams,
                          PerturberParams, potential_atom, potential_env,
                          gradient_atom, gradient_env)
 from hhg1d.sampler import StructureParams
-from hhg1d.tdse import (Grid, PropagatorPlan, absorber_mask, fd_eigenstates,
-                        ground_state, propagate, state_norm)
+from hhg1d.tdse import (Grid, PropagatorPlan, absorber_mask, ground_state,
+                        propagate, state_norm)
+from oracles import fd_eigenstates
 
 
 def random_states(n_states, n_grid, seed, normalize=True):

@@ -7,8 +7,8 @@ from hhg1d.model import (AtomParams, LaserParams, field_at, gradient_atom,
                          potential_atom)
 from hhg1d.splitting import KICK_COEFFS
 from hhg1d.tdse import (ConvergenceError, Grid, PropagatorPlan, absorber_mask,
-                        fd_eigenstates, ground_state, overlap,
-                        propagate, state_norm, step)
+                        ground_state, overlap, propagate, state_norm, step)
+from oracles import fd_eigenstates
 
 
 def gaussian_packet(grid, x0, width, k0=0.0):
