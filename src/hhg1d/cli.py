@@ -53,8 +53,8 @@ def _start(args) -> tuple[RunConfig, Path, Manifest]:
     """Resolve the configuration and its command-line overrides, then create
     the output directory of a new product and its manifest."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {"master_seed": args.seed, "workers": args.workers,
-                 "out_dir": args.out}
+    overrides = dict(master_seed=vars(args).get("seed"),
+                     workers=vars(args).get("workers"), out_dir=args.out)
     try:
         cfg = replace(cfg, **{k: v for k, v in overrides.items()
                               if v is not None})
@@ -81,15 +81,6 @@ def _floats(text: str, option: str) -> list[float]:
         pass
     raise ConfigError(f"{option} must be a comma-separated list of finite "
                       f"numbers, got {text!r}")
-
-
-def _verify(manifest: Manifest, *paths: Path) -> None:
-    """Warn for each file about to be read whose digest no longer matches
-    the manifest; only these files are hashed."""
-    names = [str(p.relative_to(manifest.directory)) for p in paths]
-    for name in manifest.verify_outputs(names):
-        print(f"warning: checksum mismatch for {name} (records were edited?)",
-              file=sys.stderr)
 
 
 def cmd_ground_state(args) -> int:
@@ -149,11 +140,12 @@ def cmd_run(args) -> int:
 
 
 class _Analysis:
-    """A stored run read by an analysis command, and where its outputs go.
+    """The stored records an analysis command reads, through the files
+    their manifest lists, and where its outputs go.
 
     Outputs are written to --out, or beside the records; only in the latter
-    case are they entered in the run's manifest.  The output directory is
-    created by the first `path` call, after the command's input checks.
+    case are they entered in the manifest.  The output directory is created
+    by the first `path` call, after the command's input checks.
     """
 
     def __init__(self, args):
@@ -167,10 +159,27 @@ class _Analysis:
         self.out.mkdir(parents=True, exist_ok=True)
         return self.out / name
 
+    def files(self, name: str) -> list[Path]:
+        """The files the manifest lists under `name`, a file or a
+        directory of the records, in name order."""
+        files = [self.rdir / rel for rel in sorted(self.manifest.data[
+            "outputs"]) if rel.split("/")[0] == name]
+        if not files:
+            raise MissingArtifactError(f"no {name} in {self.manifest.path}")
+        return files
+
+    def verify(self, *files: Path) -> None:
+        """Warn for each of `files` whose digest no longer matches the
+        manifest; only these files are hashed."""
+        for name in self.manifest.verify_outputs(
+                str(f.relative_to(self.rdir)) for f in files):
+            print(f"warning: checksum mismatch for {name} (records were "
+                  f"edited?)", file=sys.stderr)
+
     def accel(self, member: int | None) -> tuple[np.ndarray, np.ndarray]:
         """Time axis and the ensemble-mean or one member's acceleration."""
-        path = self.rdir / "accel_configs.bin"
-        _verify(self.manifest, path)
+        path, = self.files("accel_configs.bin")
+        self.verify(path)
         t_axis, _, accel, _, _ = read_map(path)
         if t_axis.size < 2 or accel.shape[1] == 0:
             raise MalformedRecordError(
@@ -188,16 +197,13 @@ class _Analysis:
         manifest lists, read one (n_c, n) probe at a time; a fit `window`
         that holds no time of the first file is refused before any hashing.
         """
-        files = [self.rdir / name for name in sorted(self.manifest.data[
-            "outputs"]) if name.startswith("snapshots/")]
-        if not files:
-            raise MissingArtifactError(f"no snapshots in {self.manifest.path}")
+        files = self.files("snapshots")
         times = read_wavefunctions(files[0])[2]
         if window is not None and not np.any(in_fit_window(times, window)):
             raise MissingArtifactError(
                 f"{self.rdir / 'snapshots'}: no snapshot time in the fit "
                 f"window [{window[0]:g}, {window[1]:g}]")
-        _verify(self.manifest, *files)
+        self.verify(*files)
         return times, SnapshotSet(files)
 
     def save(self, *paths: Path) -> None:
@@ -376,20 +382,16 @@ def cmd_pair_correlation(args) -> int:
     if not (0 < args.bin_width < np.inf and 0 < args.r_max < np.inf):
         raise ConfigError(f"--bin-width and --r-max must be finite and > 0, "
                           f"got {args.bin_width:g} and {args.r_max:g}")
-    if args.env:
-        env, checksum = Path(args.env), ""
-    else:
-        manifest = Manifest.load(args.records)
-        env, checksum = manifest.directory / "environment.txt", \
-            manifest.checksum()
-        _verify(manifest, env)
+    run = _Analysis(args)
+    env, = run.files("environment.txt")
+    run.verify(env)
     configs, _ = load_configurations(env)
-    out = Path(args.out) if args.out else env.parent
-    out.mkdir(parents=True, exist_ok=True)
     edges, mass = pair_correlation(configs, args.bin_width, args.r_max)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    path = out / "pair_correlation.csv"
-    write_csv(path, {"r": centers, "mass": mass}, "pair-correlation", checksum)
+    path = run.path("pair_correlation.csv")
+    write_csv(path, {"r": centers, "mass": mass}, "pair-correlation",
+              run.manifest.checksum())
+    run.save(path)
     print(f"pair correlation from {len(configs)} configurations -> {path}")
     return 0
 
@@ -402,35 +404,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, records=False, run_cfg=True):
+    def add(name, fn, *overrides, records=False):
+        """A subcommand of --records, or of --config and its overrides."""
         p = sub.add_parser(name)
-        if run_cfg:
-            p.add_argument("--config", help="configuration file")
-            p.add_argument("--seed", type=int, help="override master seed")
-            p.add_argument("--workers", type=int, help="worker processes")
-        p.add_argument("--out", help="output directory")
         if records:
             p.add_argument("--records", required=True,
-                           help="directory written by `run`")
+                           help="directory whose manifest lists the inputs")
+        else:
+            p.add_argument("--config", help="configuration file")
+        if "seed" in overrides:
+            p.add_argument("--seed", type=int, help="override master seed")
+        if "workers" in overrides:
+            p.add_argument("--workers", type=int, help="worker processes")
+        p.add_argument("--out", help="output directory")
         p.set_defaults(handler=fn)
         return p
 
     add("ground-state", cmd_ground_state)
-    add("sample-env", cmd_sample_env)
-    add("run", cmd_run)
+    add("sample-env", cmd_sample_env, "seed")
+    add("run", cmd_run, "seed", "workers")
 
-    p = add("spectrum", cmd_spectrum, records=True, run_cfg=False)
+    p = add("spectrum", cmd_spectrum, records=True)
     p.add_argument("--member", type=int, help="single configuration index")
     p.add_argument("--hann", action="store_true")
 
-    p = add("gabor", cmd_gabor, records=True, run_cfg=False)
+    p = add("gabor", cmd_gabor, records=True)
     p.add_argument("--member", type=int)
     p.add_argument("--max-order", type=float, default=60.0)
     p.add_argument("--d-order", type=float, default=0.25)
 
-    add("purity", cmd_purity, records=True, run_cfg=False)
+    add("purity", cmd_purity, records=True)
 
-    p = add("density-map", cmd_density_map, records=True, run_cfg=False)
+    p = add("density-map", cmd_density_map, records=True)
     p.add_argument("--time", type=float, help="snapshot time (a.u.)")
     p.add_argument("--x-lo", type=float)
     p.add_argument("--x-hi", type=float)
@@ -446,10 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchors", default="2.0,2.5",
                    help="orbit anchor times in laser cycles")
 
-    p = add("pair-correlation", cmd_pair_correlation, run_cfg=False)
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--records", help="directory written by `run`")
-    source.add_argument("--env", help="environment.txt from sample-env")
+    p = add("pair-correlation", cmd_pair_correlation, records=True)
     p.add_argument("--bin-width", type=float, default=0.5)
     p.add_argument("--r-max", type=float, default=80.0)
 

@@ -343,12 +343,8 @@ class Manifest:
         return m
 
     def verify_outputs(self, names) -> list[str]:
-        """Those of the given relative names whose recorded checksum no
-        longer matches; a name the manifest does not list is not checked,
-        and a listed file that is gone raises FileNotFoundError."""
-        stale = []
-        for rel in names:
-            digest, p = self.data["outputs"].get(rel), self.directory / rel
-            if digest and sha256_of(p) != digest:
-                stale.append(rel)
-        return stale
+        """Those of the given listed names whose file no longer has its
+        recorded checksum; a listed file that is gone raises
+        FileNotFoundError."""
+        return [rel for rel in names
+                if sha256_of(self.directory / rel) != self.data["outputs"][rel]]

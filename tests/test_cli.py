@@ -224,16 +224,30 @@ class TestExitCodes:
                               tiny_records / "records", tmp_path / "out",
                               monkeypatch) == []
 
-    def test_pair_correlation_needs_one_source(self, tiny_records, capsys):
+    def test_pair_correlation_needs_one_source(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pair-correlation"])
         assert exc.value.code == 2
+        assert "--records" in capsys.readouterr().err
+
+    # options that acted on nothing, and pair-correlation's second source
+    @pytest.mark.parametrize("argv", [
+        ["ground-state", "--workers", "2"],
+        ["sample-env", "--workers", "2"],
+        ["sfa", "--seed", "3"],
+        ["orbits", "--workers", "2"],
+        ["pair-correlation", "--records", "{records}", "--env",
+         "{records}/environment.txt"],
+    ], ids=lambda argv: f"{argv[0]}_{argv[-2].lstrip('-')}")
+    def test_removed_option_is_usage_error(self, argv, tiny_records,
+                                           tmp_path, capsys):
+        records = tiny_records / "records"
+        argv = [a.format(records=records) for a in argv]
         with pytest.raises(SystemExit) as exc:
-            main(["pair-correlation", "--records",
-                  str(tiny_records / "records"), "--env",
-                  str(tiny_records / "records" / "environment.txt")])
+            main(argv + ["--out", str(tmp_path / "out")])
         assert exc.value.code == 2
-        assert "not allowed with" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -246,11 +260,18 @@ class TestExitCodes:
         rc = main(["spectrum", "--records", str(tmp_path / "nothing")])
         assert rc == 3
 
-    def test_missing_environment_is_3(self, tmp_path, capsys):
-        rc = main(["pair-correlation", "--env", str(tmp_path / "env.txt"),
+    def test_missing_environment_is_3(self, tiny_config, tmp_path, capsys):
+        env = tmp_path / "env"
+        assert main(["sample-env", "--config", str(tiny_config),
+                     "--out", str(env)]) == 0
+        (env / "environment.txt").unlink()
+        capsys.readouterr()
+        rc = main(["pair-correlation", "--records", str(env),
                    "--out", str(tmp_path / "out")])
         assert rc == 3
-        assert capsys.readouterr().err.startswith("missing artifact: ")
+        err = capsys.readouterr().err
+        assert err.startswith("missing artifact: ")
+        assert str(env / "environment.txt") in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_2_and_named(self, tmp_path, capsys):
@@ -464,6 +485,18 @@ class TestRecordChecks:
         err = self.refused_with_3(command, records, tmp_path, capsys)
         assert err.startswith("missing artifact: ") and str(snap) in err
 
+    @pytest.mark.parametrize("command", ["spectrum", "gabor"])
+    def test_unlisted_accel_is_3(self, command, records, tiny_records,
+                                 tmp_path, capsys):
+        # sample-env replaces the run's manifest with one that lists only
+        # its own environment.txt; the seed-13 map is still in the directory
+        assert main(["sample-env", "--config", str(tiny_records / "tiny.cfg"),
+                     "--out", str(records), "--seed", "5"]) == 0
+        assert (records / "accel_configs.bin").exists()
+        err = self.refused_with_3(command, records, tmp_path, capsys)
+        assert err.startswith(f"missing artifact: no accel_configs.bin in "
+                              f"{records / 'manifest.json'}")
+
     # each storage reader refuses a file whose first four bytes are wrong,
     # and a command that reads that file exits 3 naming it
     @pytest.mark.parametrize("reader, name, command", [
@@ -542,6 +575,10 @@ class TestPipeline:
         assert main(["sample-env", "--config", str(tiny_config),
                      "--out", str(out)]) == 0
         assert (out / "environment.txt").exists()
+        assert main(["pair-correlation", "--records", str(out)]) == 0
+        cols, comments = read_csv(out / "pair_correlation.csv")
+        assert cols["mass"].sum() > 0
+        assert f"manifest: {Manifest.load(out).checksum()}" in comments
 
     def test_run_then_analyses(self, tiny_config, tmp_path):
         out = tmp_path / "records"
@@ -574,7 +611,9 @@ class TestPipeline:
 
         assert main(["pair-correlation", "--records", str(out),
                      "--r-max", "50"]) == 0
-        assert (out / "pair_correlation.csv").exists()
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert "pair_correlation.csv" in outputs
+        assert Manifest.load(out).verify_outputs(sorted(outputs)) == []
 
     def test_rerun_manifest_lists_only_its_outputs(self, tiny_config,
                                                     tmp_path):

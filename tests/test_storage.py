@@ -305,8 +305,10 @@ class TestManifest:
         assert loaded.verify_outputs(["out.csv"]) == []
 
         data.write_text("tampered")
-        # a name the manifest does not list is not checked
-        assert loaded.verify_outputs(["out.csv", "absent.csv"]) == ["out.csv"]
+        assert loaded.verify_outputs(["out.csv"]) == ["out.csv"]
+        data.unlink()
+        with pytest.raises(FileNotFoundError, match="out.csv"):
+            loaded.verify_outputs(["out.csv"])
 
     def test_checksum_depends_on_seed(self, tmp_path):
         a = Manifest(tmp_path, "cfg", 1)
