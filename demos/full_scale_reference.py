@@ -18,7 +18,7 @@ approaches 10³.
 
 import numpy as np
 
-from hhg1d import (AtomParams, EnsembleSpec, LaserParams, PerturberParams,
+from hhg1d import (AtomParams, LaserParams, PerturberParams, RunConfig,
                    StructureParams, default_perturber_count,
                    harmonic_peaks, hhg_spectrum, parity_contrast,
                    plateau_statistics, run_ensemble)
@@ -34,11 +34,11 @@ base = dict(master_seed=7, structure=structure, laser=laser,
             dt=0.05, record_stride=2)
 
 print("gas phase ...")
-gas = run_ensemble(EnsembleSpec(n_c=1, perturber=PerturberParams(A_E=0.0),
-                                **base))
+gas = run_ensemble(RunConfig(n_c=1, perturber=PerturberParams(A_E=0.0),
+                             **base))
 print(f"liquid phase, {N_CONFIGS} configurations ...")
-liquid = run_ensemble(EnsembleSpec(n_c=N_CONFIGS,
-                                   perturber=PerturberParams(), **base),
+liquid = run_ensemble(RunConfig(n_c=N_CONFIGS,
+                                perturber=PerturberParams(), **base),
                       workers=2)
 
 spec_gas = hhg_spectrum(gas.times, gas.accel.mean(axis=1), laser)

@@ -10,7 +10,7 @@ symmetric (odd-dominated) comb and lowers the plateau.
 
 import numpy as np
 
-from hhg1d import (AtomParams, EnsembleSpec, LaserParams, PerturberParams,
+from hhg1d import (AtomParams, LaserParams, PerturberParams, RunConfig,
                    StructureParams, hhg_spectrum, parity_contrast,
                    plateau_statistics, run_ensemble)
 
@@ -21,11 +21,11 @@ base = dict(master_seed=7, laser=laser, atom=AtomParams(),
             x_min=-160.0, x_max=160.0, n_grid=1024, dt=0.05, record_stride=2)
 
 print("gas phase (one configuration, wells switched off) ...")
-gas = run_ensemble(EnsembleSpec(n_c=1, perturber=PerturberParams(A_E=0.0),
-                                **base))
+gas = run_ensemble(RunConfig(n_c=1, perturber=PerturberParams(A_E=0.0),
+                             **base))
 print(f"liquid phase ({N_CONFIGS} configurations, this takes a minute) ...")
-liquid = run_ensemble(EnsembleSpec(n_c=N_CONFIGS,
-                                   perturber=PerturberParams(), **base),
+liquid = run_ensemble(RunConfig(n_c=N_CONFIGS,
+                                perturber=PerturberParams(), **base),
                       workers=2)
 
 spec_gas = hhg_spectrum(gas.times, gas.accel.mean(axis=1), laser)

@@ -12,7 +12,7 @@ localization.  Expect a few minutes of runtime with the ensemble enabled.
 
 import numpy as np
 
-from hhg1d import (AtomParams, EnsembleSpec, LaserParams, PerturberParams,
+from hhg1d import (AtomParams, LaserParams, PerturberParams, RunConfig,
                    StructureParams, find_periodic_orbit, overlay_orbit,
                    probability_density_map, quiver_guess, run_ensemble,
                    symmetry_partner)
@@ -34,11 +34,11 @@ if N_CONFIGS == 0:
 
 print(f"propagating {N_CONFIGS} full-field configurations "
       f"(several minutes) ...")
-spec = EnsembleSpec(n_c=N_CONFIGS, master_seed=3,
-                    structure=StructureParams(a=10.0, sigma=1.0, n_p=38),
-                    perturber=PerturberParams(), laser=laser, atom=atom,
-                    x_min=-400.0, x_max=400.0, n_grid=2560, dt=0.05,
-                    record_stride=8)
+spec = RunConfig(n_c=N_CONFIGS, master_seed=3,
+                 structure=StructureParams(a=10.0, sigma=1.0, n_p=38),
+                 perturber=PerturberParams(), laser=laser, atom=atom,
+                 x_min=-400.0, x_max=400.0, n_grid=2560, dt=0.05,
+                 record_stride=8)
 record = run_ensemble(spec, workers=2)
 pmap = probability_density_map(record.snapshot_times, record.snapshots,
                                spec.grid())

@@ -9,17 +9,17 @@ configurations the curves are noisy; raise N_CONFIGS for smoother decay.
 
 import numpy as np
 
-from hhg1d import (AtomParams, EnsembleSpec, LaserParams, MaskSpec,
-                   PerturberParams, StructureParams, fit_purity_decay,
+from hhg1d import (AtomParams, LaserParams, MaskSpec, PerturberParams,
+                   RunConfig, StructureParams, fit_purity_decay,
                    purity_series, run_ensemble)
 
 N_CONFIGS = 12
 laser = LaserParams(F_L=0.075, omega_L=0.057, n_up=2, n_plateau=4, n_down=2)
-spec = EnsembleSpec(n_c=N_CONFIGS, master_seed=4,
-                    structure=StructureParams(a=10.0, sigma=1.0, n_p=16),
-                    perturber=PerturberParams(), laser=laser,
-                    atom=AtomParams(), x_min=-160.0, x_max=160.0,
-                    n_grid=1024, dt=0.05, record_stride=4)
+spec = RunConfig(n_c=N_CONFIGS, master_seed=4,
+                 structure=StructureParams(a=10.0, sigma=1.0, n_p=16),
+                 perturber=PerturberParams(), laser=laser,
+                 atom=AtomParams(), x_min=-160.0, x_max=160.0,
+                 n_grid=1024, dt=0.05, record_stride=4)
 
 print(f"propagating {N_CONFIGS} configurations ...")
 record = run_ensemble(spec, workers=2)

@@ -20,7 +20,7 @@ exposes each pipeline stage as a subcommand.
 
 __version__ = "0.1.0"
 
-from .ensemble import (EnsembleRecord, EnsembleSpec, MaskSpec,
+from .ensemble import (EnsembleRecord, MaskSpec, RunConfig,
                        density_matrix_map, probability_density_map, purity,
                        purity_series, run_ensemble)
 from .model import (AtomParams, EnvironmentConfig, LaserParams,
@@ -42,10 +42,10 @@ from .tdse import (Grid, PropagationRecord, PropagatorPlan, absorber_mask,
                    ground_state, propagate, step)
 
 __all__ = [
-    "AtomParams", "BackscatterTrajectory", "EnsembleRecord", "EnsembleSpec",
+    "AtomParams", "BackscatterTrajectory", "EnsembleRecord",
     "EnvironmentConfig", "GaborMap", "Grid", "LaserParams", "MaskSpec",
     "PeriodicOrbit", "PerturberParams", "PropagationRecord",
-    "PropagatorPlan", "PurityFit", "SeededRng", "Spectrum",
+    "PropagatorPlan", "PurityFit", "RunConfig", "SeededRng", "Spectrum",
     "StructureParams", "absorber_mask", "classical_flow",
     "default_perturber_count", "density_matrix_map", "envelope",
     "field_at", "find_cutoff", "find_periodic_orbit",

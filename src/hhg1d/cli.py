@@ -50,17 +50,15 @@ EXIT_NUMERICAL = 4
 
 
 def _start(args) -> tuple[RunConfig, Path, Manifest]:
-    """Resolve the configuration and its command-line overrides, then create
-    the output directory of a new product and its manifest."""
+    """Resolve the configuration and its --seed override, then create the
+    output directory of a new product and its manifest."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = dict(master_seed=vars(args).get("seed"),
-                     workers=vars(args).get("workers"), out_dir=args.out)
-    try:
-        cfg = replace(cfg, **{k: v for k, v in overrides.items()
-                              if v is not None})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    out = Path(cfg.out_dir)
+    if vars(args).get("seed") is not None:
+        try:
+            cfg = replace(cfg, master_seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out, Manifest(out, render_config(cfg), cfg.master_seed)
 
@@ -110,8 +108,10 @@ def cmd_sample_env(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg, out, manifest = _start(args)
-    record = run_ensemble(cfg, workers=cfg.workers)
+    record = run_ensemble(cfg, workers=args.workers)
     config_txt, env_txt, mean_csv, accel_bin = paths = [
         out / "config.txt", out / "environment.txt", out / "mean_series.csv",
         out / "accel_configs.bin"]
@@ -404,19 +404,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, *overrides, records=False):
-        """A subcommand of --records, or of --config and its overrides."""
+    def add(name, fn, *options, records=False):
+        """A subcommand of --records, or of --config and the named options;
+        a producing command writes to ./out unless --out is given."""
         p = sub.add_parser(name)
         if records:
             p.add_argument("--records", required=True,
                            help="directory whose manifest lists the inputs")
         else:
             p.add_argument("--config", help="configuration file")
-        if "seed" in overrides:
+        if "seed" in options:
             p.add_argument("--seed", type=int, help="override master seed")
-        if "workers" in overrides:
-            p.add_argument("--workers", type=int, help="worker processes")
-        p.add_argument("--out", help="output directory")
+        if "workers" in options:
+            p.add_argument("--workers", type=int, default=1,
+                           help="worker processes")
+        p.add_argument("--out", default=None if records else "out",
+                       help="output directory")
         p.set_defaults(handler=fn)
         return p
 

@@ -1,49 +1,31 @@
 """
 Run configuration: a line-oriented `key = value` format with sections,
-resolved into the parameter dataclasses with every default equal to the
-reference values (a = 10, σ = 1, A_E = 0.8, σ_E = 0.5, N_c = 10³,
+resolved into `RunConfig` (defined in `ensemble`), whose every default is
+the reference value (a = 10, σ = 1, A_E = 0.8, σ_E = 0.5, N_c = 10³,
 softening 0.4837, ω_L = 0.044, F_L = 0.15, 2-11-2 envelope, mask radius 5,
-Gabor window 0.35 T_L).
+Gabor window 0.35 T_L).  Where the run writes and how many worker
+processes it uses are command-line options, not configuration.
 
 The laser section accepts either (omega | wavelength_nm) and either
 (F_L | intensity_wcm2); whichever is given is converted at parse time and
-the manifest records the resolved atomic-unit values.
+the manifest records the resolved atomic-unit values.  A field may be set
+once: a second key that sets it, the same key or its unit alternative, is
+an error naming both lines.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import replace
 from operator import attrgetter
 from typing import Callable
 
-from .ensemble import EnsembleSpec, MaskSpec
+from .ensemble import RunConfig
 from .model import field_from_intensity_wcm2, omega_from_wavelength_nm
 
 
 class ConfigError(ValueError):
     """Bad configuration text; message carries the line number or key."""
-
-
-@dataclass(frozen=True)
-class RunConfig(EnsembleSpec):
-    """An ensemble run as configured: the EnsembleSpec with the reference
-    defaults, plus the photoelectron mask, the Gabor window and where and
-    how the run executes."""
-
-    n_c: int = 1000
-    master_seed: int = 1
-    mask: MaskSpec = MaskSpec()
-    gabor_window_cycles: float = 0.35
-    # execution knobs: not part of the run's physical identity, so they are
-    # excluded from equality and never rendered into stored configuration
-    workers: int = field(default=1, compare=False)
-    out_dir: str = field(default="out", compare=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 def _finite(text: str) -> float:
@@ -88,10 +70,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
     "ensemble": {
         "n_c": ("n_c", int),
         "master_seed": ("master_seed", int),
-        "workers": ("workers", int),
     },
     "output": {
-        "out_dir": ("out_dir", str),
         "gabor_window_cycles": ("gabor_window_cycles", _finite),
     },
 }
@@ -103,8 +83,11 @@ _UNIT_ALTERNATIVES = {
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse configuration text; unknown keys and bad values are errors."""
-    values: dict[str, dict[str, object]] = {}
+    """Parse configuration text; unknown keys, bad values and a field set
+    twice are errors."""
+    set_by: dict[str, tuple[int, str]] = {}  # field path -> (line, key)
+    groups: dict[str, dict[str, object]] = {}
+    top: dict[str, object] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -123,7 +106,12 @@ def parse_config(text: str) -> RunConfig:
         if key not in _SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key '{key}' "
                               f"in section [{section}]")
-        _, conv = _SCHEMA[section][key]
+        path, conv = _SCHEMA[section][key]
+        if path in set_by:
+            first, first_key = set_by[path]
+            raise ConfigError(f"line {lineno}: '{key}' sets {path}, which "
+                              f"line {first} already set with '{first_key}'")
+        set_by[path] = lineno, key
         try:
             parsed = conv(val)
         except ValueError:
@@ -134,17 +122,11 @@ def parse_config(text: str) -> RunConfig:
                 parsed = _UNIT_ALTERNATIVES[key](parsed)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from None
-        values.setdefault(section, {})[key] = parsed
-
-    groups: dict[str, dict[str, object]] = {}
-    top: dict[str, object] = {}
-    for section, pairs in values.items():
-        for key, parsed in pairs.items():
-            group, _, attr = _SCHEMA[section][key][0].rpartition(".")
-            if group:
-                groups.setdefault(group, {})[attr] = parsed
-            else:
-                top[attr] = parsed
+        group, _, attr = path.rpartition(".")
+        if group:
+            groups.setdefault(group, {})[attr] = parsed
+        else:
+            top[attr] = parsed
     try:
         # each group starts from RunConfig's default instance of its class
         nested = {group: replace(getattr(RunConfig, group), **kw)
@@ -157,15 +139,13 @@ def parse_config(text: str) -> RunConfig:
 def render_config(cfg: RunConfig) -> str:
     """Emit configuration text that parses back to an equal RunConfig.
 
-    Every schema key is written except the unit alternatives and the
-    execution knobs (fields excluded from equality).
+    Every schema key is written except the unit alternatives.
     """
-    execution = {f.name for f in fields(RunConfig) if not f.compare}
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
         for key, (path, conv) in keys.items():
-            if key in _UNIT_ALTERNATIVES or path in execution:
+            if key in _UNIT_ALTERNATIVES:
                 continue
             value = attrgetter(path)(cfg)
             lines.append(f"{key} = {value!r}" if conv is _finite

@@ -55,11 +55,12 @@ class MaskSpec:
 
 
 @dataclass(frozen=True)
-class EnsembleSpec:
-    """Everything needed to reproduce one ensemble run."""
+class RunConfig:
+    """Everything needed to reproduce one ensemble run and its analyses,
+    with the full-scale reference values as defaults."""
 
-    n_c: int = 1
-    master_seed: int = 0
+    n_c: int = 1000
+    master_seed: int = 1
     structure: StructureParams = StructureParams()
     perturber: PerturberParams = PerturberParams()
     laser: LaserParams = LaserParams()
@@ -70,6 +71,8 @@ class EnsembleSpec:
     dt: float = 0.02
     record_stride: int = 4
     absorber_band: float = 0.1
+    mask: MaskSpec = MaskSpec()
+    gabor_window_cycles: float = 0.35
 
     def __post_init__(self):
         if self.n_c < 1:
@@ -106,7 +109,6 @@ class EnsembleRecord(PropagationRecord):
     is the last axis of the series, and axis 1 of the (n_s, n_c, n)
     snapshots."""
 
-    spec: EnsembleSpec
     configs: list[EnvironmentConfig]
     ground_energy: float
 
@@ -115,40 +117,40 @@ class EnsembleRecord(PropagationRecord):
         return len(self.configs)
 
 
-def _propagate_block(spec: EnsembleSpec, configs: list[EnvironmentConfig],
+def _propagate_block(cfg: RunConfig, configs: list[EnvironmentConfig],
                      psi0: np.ndarray, first_index: int) -> PropagationRecord:
     """Propagate a contiguous block of configurations as one batch."""
-    grid = spec.grid()
+    grid = cfg.grid()
     x = grid.x
-    v_static = np.stack([potential_atom(x, spec.atom)
-                         + potential_env(x, c, spec.perturber) for c in configs])
-    g_static = np.stack([gradient_atom(x, spec.atom)
-                         + gradient_env(x, c, spec.perturber) for c in configs])
-    plan = PropagatorPlan(grid, spec.dt, v_static, spec.laser,
-                          mask=absorber_mask(grid, spec.absorber_band))
+    v_static = np.stack([potential_atom(x, cfg.atom)
+                         + potential_env(x, c, cfg.perturber) for c in configs])
+    g_static = np.stack([gradient_atom(x, cfg.atom)
+                         + gradient_env(x, c, cfg.perturber) for c in configs])
+    plan = PropagatorPlan(grid, cfg.dt, v_static, cfg.laser,
+                          mask=absorber_mask(grid, cfg.absorber_band))
     batch = np.tile(psi0, (len(configs), 1))
     try:
-        return propagate(batch, plan, 0.0, spec.laser.duration, g_static,
-                         record_stride=spec.record_stride,
-                         probe_times=spec.probe_times())
+        return propagate(batch, plan, 0.0, cfg.laser.duration, g_static,
+                         record_stride=cfg.record_stride,
+                         probe_times=cfg.probe_times())
     except PropagationFailure as exc:
         raise PropagationFailure(first_index + exc.config_index,
                                  exc.step) from None
 
 
-def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleRecord:
+def run_ensemble(cfg: RunConfig, workers: int = 1) -> EnsembleRecord:
     """Sample n_c configurations (streams 0..n_c-1) and propagate them all.
 
     The gas-phase ground state is prepared once and reused for every
     configuration: the buffer zone keeps the environment's overlap with the
     bound state negligible.  Blocks are joined in configuration order.
     """
-    configs = sample_ensemble(spec.master_seed, spec.n_c, spec.structure)
-    psi_g, e0 = ground_state(spec.grid(),
-                             lambda x: potential_atom(x, spec.atom))
+    configs = sample_ensemble(cfg.master_seed, cfg.n_c, cfg.structure)
+    psi_g, e0 = ground_state(cfg.grid(),
+                             lambda x: potential_atom(x, cfg.atom))
 
-    bounds = np.linspace(0, spec.n_c, min(workers, spec.n_c) + 1).astype(int)
-    blocks = [(spec, configs[a:b], psi_g, int(a))
+    bounds = np.linspace(0, cfg.n_c, min(workers, cfg.n_c) + 1).astype(int)
+    blocks = [(cfg, configs[a:b], psi_g, int(a))
               for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if len(blocks) == 1:
         parts = [_propagate_block(*blocks[0])]
@@ -163,7 +165,7 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleRecord:
               for name in ("norm", "x_expect", "accel", "snapshots")}
     return EnsembleRecord(times=parts[0].times,
                           snapshot_times=parts[0].snapshot_times, **joined,
-                          spec=spec, configs=configs, ground_energy=e0)
+                          configs=configs, ground_energy=e0)
 
 
 def purity(snapshots: np.ndarray, dx: float,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hhg1d.cli import main as cli_main
-from hhg1d.ensemble import (EnsembleSpec, MaskSpec, purity, purity_series,
+from hhg1d.ensemble import (MaskSpec, RunConfig, purity, purity_series,
                             run_ensemble)
 from hhg1d.model import (AtomParams, LaserParams, PerturberParams,
                          gradient_atom, ponderomotive_energy, potential_atom)
@@ -67,7 +67,7 @@ def gas_spectrum(gas_record):
 
 
 def liquid_spec(n_c):
-    return EnsembleSpec(
+    return RunConfig(
         n_c=n_c, master_seed=SEED,
         structure=StructureParams(a=10.0, sigma=1.0, n_p=16),
         perturber=PerturberParams(A_E=0.8, sigma_E=0.5),
@@ -153,7 +153,7 @@ def test_criterion_05_purity(liquid_single, liquid64):
     # single configuration: exactly pure at every probe
     _, p1_tot, p1_ph = purity_series(
         liquid_single.snapshot_times, liquid_single.snapshots,
-        liquid_single.spec.grid(), MaskSpec())
+        liquid_spec(1).grid(), MaskSpec())
     ok_single = np.all(np.abs(p1_tot - 1.0) < 1e-12) \
         and np.all(np.abs(p1_ph - 1.0) < 1e-12)
     report("05a single-configuration purity", ok_single,
@@ -161,7 +161,7 @@ def test_criterion_05_purity(liquid_single, liquid64):
 
     times, _, p_ph = purity_series(liquid64.snapshot_times,
                                    liquid64.snapshots,
-                                   liquid64.spec.grid(), MaskSpec())
+                                   liquid_spec(64).grid(), MaskSpec())
     ok_bound = np.all(p_ph <= 1.0 + 1e-9)
     report("05b masked purity bounded", ok_bound,
            f"max P_ph = {p_ph.max():.6f} (require <= 1)")

@@ -66,7 +66,6 @@ def tiny_records(tmp_path_factory):
 BAD_INPUTS = {
     "run_workers_0": ["run", "--config", "{cfg}", "--workers", "0"],
     "run_workers_negative": ["run", "--config", "{cfg}", "--workers", "-1"],
-    "config_workers_0": ["run", "--config", "{cfg_workers_0}"],
     "config_dt_nan": ["run", "--config", "{cfg_dt_nan}"],
     "config_dt_inf": ["run", "--config", "{cfg_dt_inf}"],
     "config_dt_0": ["run", "--config", "{cfg_dt_0}"],
@@ -151,34 +150,51 @@ BAD_INPUTS = {
                                     "{cfg_master_seed_-1}"],
 }
 
-# the {cfg_...} files of BAD_INPUTS: TINY_CONFIG with one key set again
-# under its own section header
+# the {cfg_...} files of BAD_INPUTS: TINY_CONFIG with the given keys (see
+# tiny_config_with)
 BAD_CONFIGS = {
-    "cfg_workers_0": ("ensemble", "workers", "0"),
-    "cfg_n_c_0": ("ensemble", "n_c", "0"),
-    "cfg_master_seed_-1": ("ensemble", "master_seed", "-1"),
-    "cfg_dt_nan": ("grid", "dt", "nan"),
-    "cfg_dt_inf": ("grid", "dt", "inf"),
-    "cfg_dt_0": ("grid", "dt", "0"),
-    "cfg_dt_negative": ("grid", "dt", "-0.1"),
-    "cfg_x_max_-80": ("grid", "x_max", "-80"),
-    "cfg_n_1": ("grid", "n", "1"),
-    "cfg_record_stride_0": ("grid", "record_stride", "0"),
+    "cfg_n_c_0": ("ensemble", {"n_c": "0"}),
+    "cfg_master_seed_-1": ("ensemble", {"master_seed": "-1"}),
+    "cfg_dt_nan": ("grid", {"dt": "nan"}),
+    "cfg_dt_inf": ("grid", {"dt": "inf"}),
+    "cfg_dt_0": ("grid", {"dt": "0"}),
+    "cfg_dt_negative": ("grid", {"dt": "-0.1"}),
+    "cfg_x_max_-80": ("grid", {"x_max": "-80"}),
+    "cfg_n_1": ("grid", {"n": "1"}),
+    "cfg_record_stride_0": ("grid", {"record_stride": "0"}),
     # the tiny pulse lasts 3307 steps
-    "cfg_record_stride_10000": ("grid", "record_stride", "10000"),
-    # three keys: no up, plateau or down cycle
-    "cfg_pulse_0": ("laser", "n_up", "0\nn_plateau = 0\nn_down = 0"),
-    "cfg_absorber_band_wide": ("grid", "absorber_band", "0.6"),
-    "cfg_absorber_band_nan": ("grid", "absorber_band", "nan"),
-    "cfg_omega_inf": ("laser", "omega", "inf"),
-    "cfg_omega_nan": ("laser", "omega", "nan"),
-    "cfg_F_L_nan": ("laser", "F_L", "nan"),
-    "cfg_F_L_inf": ("laser", "F_L", "inf"),
-    "cfg_wavelength_nm_negative": ("laser", "wavelength_nm", "-5"),
-    "cfg_intensity_wcm2_negative": ("laser", "intensity_wcm2", "-1"),
+    "cfg_record_stride_10000": ("grid", {"record_stride": "10000"}),
+    # no up, plateau or down cycle
+    "cfg_pulse_0": ("laser", {"n_up": "0", "n_plateau": "0", "n_down": "0"}),
+    "cfg_absorber_band_wide": ("grid", {"absorber_band": "0.6"}),
+    "cfg_absorber_band_nan": ("grid", {"absorber_band": "nan"}),
+    "cfg_omega_inf": ("laser", {"omega": "inf"}),
+    "cfg_omega_nan": ("laser", {"omega": "nan"}),
+    "cfg_F_L_nan": ("laser", {"F_L": "nan"}),
+    "cfg_F_L_inf": ("laser", {"F_L": "inf"}),
+    "cfg_wavelength_nm_negative": ("laser", {"wavelength_nm": "-5"}),
+    "cfg_intensity_wcm2_negative": ("laser", {"intensity_wcm2": "-1"}),
     # overflows to omega_L = inf after the finite check of the text
-    "cfg_wavelength_nm_tiny": ("laser", "wavelength_nm", "1e-320"),
+    "cfg_wavelength_nm_tiny": ("laser", {"wavelength_nm": "1e-320"}),
 }
+
+# keys that set the same field as a key of TINY_CONFIG
+SAME_FIELD = {"wavelength_nm": "omega", "intensity_wcm2": "F_L"}
+
+
+def tiny_config_with(section: str, keys: dict) -> str:
+    """TINY_CONFIG with each `key = value` in place of the line that sets
+    the same field, or added under a second [section] header: a field set
+    twice would be refused for that alone."""
+    text, added = TINY_CONFIG, ""
+    for key, value in keys.items():
+        line = re.compile(rf"^{SAME_FIELD.get(key, key)} = .*$", re.M)
+        if line.search(text):
+            text = line.sub(f"{key} = {value}", text)
+        else:
+            added += f"{key} = {value}\n"
+    return text + (f"[{section}]\n{added}" if added else "")
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -186,10 +202,9 @@ class TestExitCodes:
                                        capsys):
         places = {"cfg": tiny_records / "tiny.cfg",
                   "records": tiny_records / "records"}
-        for name, (section, key, value) in BAD_CONFIGS.items():
+        for name, (section, keys) in BAD_CONFIGS.items():
             places[name] = tmp_path / f"{name}.cfg"
-            places[name].write_text(
-                TINY_CONFIG + f"[{section}]\n{key} = {value}\n")
+            places[name].write_text(tiny_config_with(section, keys))
         argv = [a.format(**places) for a in BAD_INPUTS[case]]
         argv += ["--out", str(tmp_path / "out")]
         before = tree_digest(tiny_records / "records", skip=())
@@ -197,8 +212,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert "unknown key" not in err
+        assert "already set" not in err
         assert tree_digest(tiny_records / "records", skip=()) == before
         assert not (tmp_path / "out").exists()
+
+    # execution settings are options, not configuration
+    @pytest.mark.parametrize("section, key", [("ensemble", "workers"),
+                                              ("output", "out_dir")])
+    def test_removed_config_key_is_unknown(self, section, key, tmp_path,
+                                           monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "removed.cfg"
+        cfg.write_text(TINY_CONFIG + f"[{section}]\n{key} = 2\n")
+        assert main(["run", "--config", str(cfg), "--out", "records"]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown key '{key}' in section [{section}]" in err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @staticmethod
     def hashed_by(case, records, out, monkeypatch) -> list:
@@ -634,7 +663,7 @@ class TestPipeline:
         # three configurations, then two of another seed into the same
         # --out: config_0002.bin is left over and must not be read
         three = tmp_path / "three.cfg"
-        three.write_text(TINY_CONFIG + "[ensemble]\nn_c = 3\n")
+        three.write_text(tiny_config_with("ensemble", {"n_c": "3"}))
         reused, clean = tmp_path / "reused", tmp_path / "clean"
         assert main(["run", "--config", str(three), "--out", str(reused)]) == 0
         for out in (reused, clean):
@@ -650,6 +679,26 @@ class TestPipeline:
         assert set(products[clean]) >= {"purity.csv",
                                         "probability_density.bin"}
         assert products[reused] == products[clean]
+
+    def test_run_writes_to_out_by_default(self, tiny_config, tmp_path,
+                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(tiny_config)]) == 0
+        outputs = Manifest.load(tmp_path / "out").data["outputs"]
+        assert "mean_series.csv" in outputs
+
+    def test_spectrum_hann(self, tiny_records, tmp_path):
+        records = tiny_records / "records"
+        assert main(["spectrum", "--records", str(records), "--hann",
+                     "--out", str(tmp_path)]) == 0
+        cols, comments = read_csv(tmp_path / "spectrum_mean.csv")
+        assert "hann: True" in comments
+        _, _, accel, _, _ = read_map(records / "accel_configs.bin")
+        mean = accel.mean(axis=1)
+        expected = np.abs(np.fft.rfft(mean * np.hanning(mean.size))) \
+            / np.sqrt(mean.size)
+        np.testing.assert_allclose(cols["magnitude"], expected, rtol=1e-12,
+                                   atol=0)
 
     def test_snapshot_files_carry_grid(self, tiny_config, tmp_path):
         out = tmp_path / "records2"

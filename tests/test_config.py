@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhg1d.config import ConfigError, RunConfig, parse_config, render_config
-from hhg1d.ensemble import EnsembleSpec
 from hhg1d.tdse import Grid
 
 DEFAULT_TEXT = """\
@@ -112,10 +111,26 @@ class TestParsing:
 
     def test_grid_and_ensemble_sections(self):
         text = ("[grid]\nx_min = -100\nx_max = 100\nn = 512\ndt = 0.05\n"
-                "[ensemble]\nn_c = 7\nmaster_seed = 99\nworkers = 2\n")
+                "[ensemble]\nn_c = 7\nmaster_seed = 99\n")
         cfg = parse_config(text)
         assert cfg.n_grid == 512 and cfg.n_c == 7
-        assert cfg.master_seed == 99 and cfg.workers == 2
+        assert cfg.master_seed == 99
+        assert (cfg.x_min, cfg.x_max, cfg.dt) == (-100.0, 100.0, 0.05)
+
+    @pytest.mark.parametrize("text, later, earlier", [
+        ("[laser]\nF_L = 0.1\nintensity_wcm2 = 1e14\n", 3, 2),
+        ("[laser]\nintensity_wcm2 = 1e14\nF_L = 0.1\n", 3, 2),
+        ("[grid]\ndt = 0.05\ndt = 0.1\n", 3, 2),
+        ("[laser]\nomega = 0.05\n[grid]\nn = 512\n"
+         "[laser]\nwavelength_nm = 800\n", 6, 2),
+        ("[ensemble]\nn_c = 3\n\n# again\n[ensemble]\nn_c = 4\n", 6, 2),
+    ], ids=["F_L_then_intensity", "intensity_then_F_L", "dt_twice",
+            "omega_then_wavelength", "n_c_in_two_sections"])
+    def test_field_set_twice_names_both_lines(self, text, later, earlier):
+        with pytest.raises(ConfigError,
+                           match=f"^line {later}: .* line {earlier} "
+                                 f"already set"):
+            parse_config(text)
 
 
 class TestRoundTrip:
@@ -146,7 +161,6 @@ class TestRoundTrip:
         cfg = parse_config("[ensemble]\nn_c = 5\nmaster_seed = 3\n"
                            "[grid]\nn = 256\ndt = 0.05\n"
                            "[environment]\nA_E = 0.25\n")
-        assert isinstance(cfg, EnsembleSpec)
         assert cfg.n_c == 5 and cfg.master_seed == 3
         assert cfg.n_grid == 256 and cfg.dt == 0.05
         assert cfg.perturber.A_E == 0.25

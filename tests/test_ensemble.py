@@ -3,7 +3,7 @@ import pytest
 
 import hhg1d.model as model
 import hhg1d.tdse as tdse
-from hhg1d.ensemble import (EnsembleSpec, MaskSpec, density_matrix_map,
+from hhg1d.ensemble import (MaskSpec, RunConfig, density_matrix_map,
                             probability_density_map, purity, purity_series,
                             run_ensemble)
 from hhg1d.model import (AtomParams, EnvironmentConfig, LaserParams,
@@ -128,7 +128,7 @@ class TestPurity:
 
 class TestRunEnsemble:
     def test_single_gas_config_matches_direct_run(self):
-        spec = EnsembleSpec(n_c=1, perturber=PerturberParams(A_E=0.0), **TINY)
+        spec = RunConfig(n_c=1, perturber=PerturberParams(A_E=0.0), **TINY)
         rec = run_ensemble(spec)
         grid = spec.grid()
         psi0, _ = ground_state(grid,
@@ -147,7 +147,7 @@ class TestRunEnsemble:
         """The configuration mean of ⟨x⟩ is ⟨x⟩ of the uniform mixture,
         tr[ρ x] with ρ = (1/N_c) Σ |ψ_i⟩⟨ψ_i|, at the recorded snapshot
         times."""
-        spec = EnsembleSpec(n_c=3, **TINY)
+        spec = RunConfig(n_c=3, **TINY)
         rec = run_ensemble(spec)
         grid = spec.grid()
         both = np.isin(rec.snapshot_times, rec.times)
@@ -162,7 +162,7 @@ class TestRunEnsemble:
     def test_worker_count_does_not_change_results(self, n_c, workers):
         """Blocks of any size, even uneven ones (1, 1, 2 at three workers),
         join to the single-block record in configuration order."""
-        spec = EnsembleSpec(n_c=n_c, **TINY)
+        spec = RunConfig(n_c=n_c, **TINY)
         serial = run_ensemble(spec, workers=1)
         parallel = run_ensemble(spec, workers=workers)
         for name in ("times", "norm", "x_expect", "accel", "snapshot_times",
@@ -174,7 +174,7 @@ class TestRunEnsemble:
             np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_same_seed_identical(self):
-        spec = EnsembleSpec(n_c=2, **TINY)
+        spec = RunConfig(n_c=2, **TINY)
         a = run_ensemble(spec)
         b = run_ensemble(spec)
         np.testing.assert_array_equal(a.accel, b.accel)
@@ -183,7 +183,7 @@ class TestRunEnsemble:
         """A configuration and its mirror image under the mirrored field
         average to zero dipole at every recorded time, in particular at the
         field zero crossings."""
-        spec = EnsembleSpec(n_c=1, **TINY)
+        spec = RunConfig(n_c=1, **TINY)
         grid = spec.grid()
         pos = np.array([-31.0, -12.0, 8.0, 27.0])
         flipped = EnvironmentConfig(positions=-pos[::-1])
@@ -218,7 +218,7 @@ class TestFailureReporting:
     @pytest.fixture
     def block(self):
         from hhg1d.sampler import SeededRng, sample_configuration
-        spec = EnsembleSpec(n_c=2, **TINY)
+        spec = RunConfig(n_c=2, **TINY)
         configs = [sample_configuration(SeededRng(0, i), spec.structure)
                    for i in range(2)]
         return spec, configs
@@ -300,14 +300,14 @@ class TestFailureReporting:
 
 class TestPuritySeries:
     def test_gas_phase_stays_pure(self):
-        spec = EnsembleSpec(n_c=3, perturber=PerturberParams(A_E=0.0), **TINY)
+        spec = RunConfig(n_c=3, perturber=PerturberParams(A_E=0.0), **TINY)
         rec = run_ensemble(spec)
         _, p_tot, _ = purity_series(rec.snapshot_times, rec.snapshots,
                                     spec.grid())
         np.testing.assert_allclose(p_tot, 1.0, atol=1e-9)
 
     def test_liquid_purity_bounded(self):
-        spec = EnsembleSpec(n_c=3, **TINY)
+        spec = RunConfig(n_c=3, **TINY)
         rec = run_ensemble(spec)
         _, p_tot, p_ph = purity_series(rec.snapshot_times, rec.snapshots,
                                        spec.grid(), MaskSpec())
@@ -337,7 +337,7 @@ class TestMaps:
                                x_range=(-30.0, 10.0))
 
     def test_probability_map_trace(self):
-        spec = EnsembleSpec(n_c=2, **TINY)
+        spec = RunConfig(n_c=2, **TINY)
         rec = run_ensemble(spec)
         grid = spec.grid()
         pmap = probability_density_map(rec.snapshot_times, rec.snapshots,
