@@ -49,6 +49,17 @@ EXIT_MISSING = 3
 EXIT_NUMERICAL = 4
 
 
+def _out_dir(text: str) -> Path:
+    """--out as a path, refused when it, or a directory above it, exists as
+    something other than a directory."""
+    out = Path(text)
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"--out {text}: {path} exists and is not a "
+                              f"directory")
+    return out
+
+
 def _start(args) -> tuple[RunConfig, Path, Manifest]:
     """Resolve the configuration and its --seed override, then create the
     output directory of a new product and its manifest."""
@@ -58,7 +69,7 @@ def _start(args) -> tuple[RunConfig, Path, Manifest]:
             cfg = replace(cfg, master_seed=args.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    out = Path(args.out)
+    out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out, Manifest(out, render_config(cfg), cfg.master_seed)
 
@@ -153,7 +164,7 @@ class _Analysis:
         self.cfg = parse_config(self.manifest.data["config"])
         self.grid = self.cfg.grid()
         self.rdir = Path(args.records)
-        self.out = Path(args.out) if args.out else self.rdir
+        self.out = _out_dir(args.out) if args.out else self.rdir
 
     def path(self, name: str) -> Path:
         self.out.mkdir(parents=True, exist_ok=True)
@@ -168,11 +179,12 @@ class _Analysis:
             raise MissingArtifactError(f"no {name} in {self.manifest.path}")
         return files
 
-    def verify(self, *files: Path) -> None:
+    def verify(self, *files: Path, digests=None) -> None:
         """Warn for each of `files` whose digest no longer matches the
-        manifest; only these files are hashed."""
+        manifest: `digests`, one per file, of a read that covered them, or
+        else each file's hash now; no other file is hashed."""
         for name in self.manifest.verify_outputs(
-                str(f.relative_to(self.rdir)) for f in files):
+                (str(f.relative_to(self.rdir)) for f in files), digests):
             print(f"warning: checksum mismatch for {name} (records were "
                   f"edited?)", file=sys.stderr)
 
@@ -195,7 +207,10 @@ class _Analysis:
     def snapshots(self, window=None) -> tuple[np.ndarray, SnapshotSet]:
         """Snapshot times and the states of the `snapshots/` files that the
         manifest lists, read one (n_c, n) probe at a time; a fit `window`
-        that holds no time of the first file is refused before any hashing.
+        that holds no time of the first file is refused before any read of
+        the states.  The caller verifies the files after its pass over them,
+        by that pass's digests (None, and then hashed, after reads out of
+        order).
         """
         files = self.files("snapshots")
         times = read_wavefunctions(files[0])[2]
@@ -203,7 +218,6 @@ class _Analysis:
             raise MissingArtifactError(
                 f"{self.rdir / 'snapshots'}: no snapshot time in the fit "
                 f"window [{window[0]:g}, {window[1]:g}]")
-        self.verify(*files)
         return times, SnapshotSet(files)
 
     def save(self, *paths: Path) -> None:
@@ -255,6 +269,7 @@ def cmd_purity(args) -> int:
     window = (cfg.laser.n_up * cfg.laser.period, cfg.laser.duration)
     times, snaps = run.snapshots(window)
     t_axis, p_tot, p_ph = purity_series(times, snaps, run.grid, cfg.mask)
+    run.verify(*snaps.paths, digests=snaps.digests())
     # both fits before either file: a failed fit writes nothing
     fits = [fit_purity_decay(t_axis, series, window)
             for series in (p_tot, p_ph)]
@@ -274,6 +289,14 @@ def cmd_purity(args) -> int:
               extra_comments=("which: 0 = total, 1 = photoelectron",))
     run.save(path, fit_path)
     return 0
+
+
+def _keeping(probes, index: int, kept: list):
+    """The probes in order, with probe `index` appended to `kept`."""
+    for k, probe in enumerate(probes):
+        if k == index:
+            kept.append(probe)
+        yield probe
 
 
 def cmd_density_map(args) -> int:
@@ -298,11 +321,14 @@ def cmd_density_map(args) -> int:
     times, snaps = run.snapshots()
     idx = int(np.argmin(np.abs(times - args.time))) if args.time is not None \
         else len(times) // 2
-    dmap = density_matrix_map(snaps[idx], grid,
+    # one pass over the files: the chosen probe is kept as it goes by
+    kept = []
+    pmap = probability_density_map(times, _keeping(snaps, idx, kept), grid)
+    run.verify(*snaps.paths, digests=snaps.digests())
+    # both maps before either file: a bad record at any probe writes nothing
+    dmap = density_matrix_map(kept[0], grid,
                               mask=run.cfg.mask if args.masked else None,
                               x_range=x_range, stride=args.stride)
-    # both maps before either file: a bad record at any probe writes nothing
-    pmap = probability_density_map(times, snaps, grid)
     dpath = run.path("density_matrix.bin")
     write_map(dpath, dmap.row_axis, dmap.col_axis, dmap.values, "x", "x'")
     ppath = run.path("probability_density.bin")

@@ -87,6 +87,9 @@ class RunConfig:
         if round(self.laser.duration / self.dt) < self.record_stride:
             raise ValueError(f"a pulse shorter than record_stride = "
                              f"{self.record_stride} steps records one sample")
+        if not 0 < self.gabor_window_cycles < np.inf:
+            raise ValueError(f"gabor_window_cycles must be finite and > 0, "
+                             f"got {self.gabor_window_cycles}")
         absorber_mask(self.grid(), self.absorber_band)  # raises if unusable
         try:
             check_ground_state_depth(float(potential_atom(0.0, self.atom)))
@@ -168,22 +171,70 @@ def run_ensemble(cfg: RunConfig, workers: int = 1) -> EnsembleRecord:
                           configs=configs, ground_energy=e0)
 
 
-def purity(snapshots: np.ndarray, dx: float,
-           mask_values: np.ndarray | None = None) -> float:
-    """tr[ρ²]/tr[ρ]² of the uniform mixture of the given states.
-
-    With Gram entries g_ij = ⟨ψ̃_i|ψ̃_j⟩ dx of the (optionally masked)
-    states, the normalized purity is Σ_ij |g_ij|² / (Σ_i g_ii)²; the 1/N_c
-    mixture weights cancel.  Raises if every masked state is zero.
-    """
-    a = np.atleast_2d(np.asarray(snapshots))
-    if mask_values is not None:
-        a = a * mask_values
-    gram = (a.conj() @ a.T) * dx
-    trace = float(np.trace(gram).real)
+def _purity_of(gram: np.ndarray) -> float:
+    """Σ_ij |g_ij|² / (Σ_i g_ii)² of a Hermitian Gram matrix given by its
+    upper triangle (the strict lower one is zero): the off-diagonal sum is
+    twice that over the triangle."""
+    diag = gram.diagonal().real
+    trace = float(np.sum(diag))
     if trace <= 0.0:
         raise ValueError("purity undefined: all states have zero mass")
-    return float(np.sum(np.abs(gram) ** 2) / trace**2)
+    return float((2.0 * np.sum(np.abs(gram) ** 2) - np.sum(diag ** 2))
+                 / trace**2)
+
+
+# columns of the probe copied per zherk call: one copy of all columns (4 MB
+# at 256 × 1024) made the allocator give back and fault in the heap again
+# on every probe of a series, which cost more than the extra calls
+GRAM_BLOCK = 128
+
+
+def purity(probe: np.ndarray, dx: float,
+           mask_values: np.ndarray | None = None) -> tuple[float, float]:
+    """(P, P_masked): tr[ρ²]/tr[ρ]² of the uniform mixture of the states of
+    one (n_c, n) probe, and of the same states times `mask_values`.
+
+    With Gram entries g_ij = ⟨ψ_i|ψ_j⟩ dx, the normalized purity is
+    Σ_ij |g_ij|² / (Σ_i g_ii)²; the 1/N_c mixture weights cancel.  Both
+    Grams share the columns where the mask is exactly 1, so their Gram
+    G_in is built once; then G = G_in + G_rest over the other columns, and
+    G_masked = G_in + G_ramp over those of them with a non-zero weight,
+    multiplied by it.  Each is built as its upper triangle only (BLAS
+    zherk), from at most GRAM_BLOCK columns per call, and no product is
+    formed for an empty set of columns.  Without a mask both purities are
+    that of the states.  Raises if the states, or the masked states, all
+    have zero mass.
+    """
+    # scipy.linalg takes 0.2 s to import; `hhg1d purity` imports it anyway
+    # for its fit, the other commands need not
+    from scipy.linalg.blas import zherk
+
+    a = np.atleast_2d(np.asarray(probe, dtype=complex))
+    w = np.ones(a.shape[1]) if mask_values is None \
+        else np.asarray(mask_values, dtype=float)
+    if w.shape != a.shape[1:]:
+        raise ValueError(f"{w.size} mask values for {a.shape[1]} points")
+    rest = np.flatnonzero(w != 1.0)
+    ramp = rest[w[rest] != 0.0]
+
+    def add_gram(gram, cols, weighted=False, in_place=False):
+        """gram plus the Gram of the probe's columns `cols`, times their
+        mask weights if `weighted`; `gram` is updated in place only if
+        `in_place`."""
+        for lo in range(0, cols.size, GRAM_BLOCK):
+            block = cols[lo:lo + GRAM_BLOCK]
+            b = a.take(block, axis=1)
+            if weighted:
+                b *= w[block]
+            gram = zherk(dx, b.T, beta=1.0, c=gram, trans=2,
+                         overwrite_c=in_place)
+            in_place = True
+        return gram
+
+    g_in = add_gram(np.zeros((a.shape[0],) * 2, dtype=complex, order="F"),
+                    np.flatnonzero(w == 1.0), in_place=True)
+    p_total = _purity_of(add_gram(g_in, rest))
+    return p_total, _purity_of(add_gram(g_in, ramp, True, in_place=True))
 
 
 def purity_series(times: np.ndarray, snapshots: np.ndarray, grid: Grid,
@@ -192,18 +243,15 @@ def purity_series(times: np.ndarray, snapshots: np.ndarray, grid: Grid,
     """Purity at each snapshot time, for the full state and the masked state.
 
     `snapshots` is an (n_s, n_c, n) array or any sequence of n_s (n_c, n)
-    probes, aligned with `times`; each probe is taken once.  Returns
-    (times, P_total, P_masked); the masked series is all-ones when no mask
-    is given.
+    probes, aligned with `times`; probe k is taken once, for k = 0, 1, …,
+    in order, and reduced to both purities by one `purity` call.  Returns
+    (times, P_total, P_masked); without a mask the two series are equal.
     """
     mvals = mask.values(grid.x) if mask is not None else None
     p_tot = np.empty(times.size)
-    p_ph = np.ones(times.size)
+    p_ph = np.empty(times.size)
     for k in range(times.size):
-        probe = snapshots[k]
-        p_tot[k] = purity(probe, grid.dx)
-        if mvals is not None:
-            p_ph[k] = purity(probe, grid.dx, mvals)
+        p_tot[k], p_ph[k] = purity(snapshots[k], grid.dx, mvals)
     return times, p_tot, p_ph
 
 
@@ -240,14 +288,15 @@ def density_matrix_map(snapshots: np.ndarray, grid: Grid,
     return SpatialMap(grid.x[idx], grid.x[idx], np.abs(rho) ** 2)
 
 
-def probability_density_map(times: np.ndarray, snapshots: np.ndarray,
+def probability_density_map(times: np.ndarray, snapshots,
                             grid: Grid) -> SpatialMap:
     """Ensemble-averaged |ψ(x, t)|² of snapshots at `times`: an
-    (n_s, n_c, n) array or any sequence of n_s (n_c, n) probes.
+    (n_s, n_c, n) array or any iterable of n_s (n_c, n) probes, taken once
+    each, in order.
 
     One probe at a time, so no temporary as large as the snapshots exists.
     """
-    dens = np.empty((len(snapshots), grid.n))
-    for k, probe in enumerate(snapshots):
-        dens[k] = np.mean(np.abs(probe) ** 2, axis=0)
+    dens = np.empty((len(times), grid.n))
+    for row, probe in zip(dens, snapshots, strict=True):
+        row[:] = np.mean(np.abs(probe) ** 2, axis=0)
     return SpatialMap(times, grid.x, dens)

@@ -198,6 +198,11 @@ class SnapshotSet(Sequence):
     time, the rule of `read_wavefunctions`, and carry the time of the
     first file's record k.  Files are not memory-mapped, since mapped
     pages count in the process's resident set just as read ones do.
+
+    The records of a file cover all its bytes, in file order, so reading
+    probes 0, 1, …, n_s − 1 in turn feeds each file's SHA-256 with each
+    of its records as it is read: `digests` then holds every file's digest
+    with no second read of the files.
     """
 
     def __init__(self, paths):
@@ -211,6 +216,8 @@ class SnapshotSet(Sequence):
                 raise MalformedRecordError(
                     f"{path}: {path.stat().st_size} bytes, but "
                     f"{first.name} has {size}")
+        self._hashes = [hashlib.sha256() for _ in self.paths]
+        self._hashed = 0        # records fed to the hashes, in file order
 
     def __len__(self) -> int:
         return self._n_probes
@@ -233,7 +240,21 @@ class SnapshotSet(Sequence):
             raise MalformedRecordError(
                 f"{self.paths[np.argmax(late)]} holds other times than "
                 f"{self.paths[0].name}")
+        if k == self._hashed:
+            for h, head, row in zip(self._hashes, heads, rows):
+                h.update(head)
+                h.update(row)
+            self._hashed += 1
         return states
+
+    def digests(self) -> list[str] | None:
+        """The SHA-256 hex digest of each file, in the order of `paths`,
+        once every record has been read right after the one before it;
+        None while a record is missing from that in-order pass (a probe
+        read out of turn feeds no digest)."""
+        if self._hashed < self._n_probes:
+            return None
+        return [h.hexdigest() for h in self._hashes]
 
 
 def write_map(path, row_axis, col_axis, values, row_label: str = "",
@@ -342,9 +363,14 @@ class Manifest:
                                        f"master_seed and outputs")
         return m
 
-    def verify_outputs(self, names) -> list[str]:
+    def verify_outputs(self, names, digests=None) -> list[str]:
         """Those of the given listed names whose file no longer has its
-        recorded checksum; a listed file that is gone raises
+        recorded checksum.  `digests`, one per name and in their order, are
+        the files' SHA-256 from a read that covered them; without them each
+        file is hashed here, and a listed file that is gone raises
         FileNotFoundError."""
-        return [rel for rel in names
-                if sha256_of(self.directory / rel) != self.data["outputs"][rel]]
+        names = list(names)
+        if digests is None:
+            digests = (sha256_of(self.directory / rel) for rel in names)
+        return [rel for rel, digest in zip(names, digests, strict=True)
+                if digest != self.data["outputs"][rel]]

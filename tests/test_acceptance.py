@@ -193,7 +193,7 @@ def test_criterion_06_gram_purity_oracle(m, n):
     dx = 0.173
     rho = sum(np.outer(v, v.conj()) for v in states) / m * dx
     dense = float(np.trace(rho @ rho).real / np.trace(rho).real ** 2)
-    gram = purity(states, dx)
+    gram, _ = purity(states, dx)
     ok = abs(gram - dense) < 1e-10
     assert report(f"06 Gram purity oracle (m={m}, n={n})", ok,
                   f"|gram - dense| = {abs(gram - dense):.2e}")

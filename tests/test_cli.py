@@ -148,6 +148,10 @@ BAD_INPUTS = {
                                  "--seed", "-1"],
     "config_master_seed_negative": ["run", "--config",
                                     "{cfg_master_seed_-1}"],
+    "config_gabor_window_cycles_0": ["run", "--config",
+                                     "{cfg_gabor_window_cycles_0}"],
+    "config_gabor_window_cycles_negative": [
+        "run", "--config", "{cfg_gabor_window_cycles_-1}"],
 }
 
 # the {cfg_...} files of BAD_INPUTS: TINY_CONFIG with the given keys (see
@@ -176,6 +180,8 @@ BAD_CONFIGS = {
     "cfg_intensity_wcm2_negative": ("laser", {"intensity_wcm2": "-1"}),
     # overflows to omega_L = inf after the finite check of the text
     "cfg_wavelength_nm_tiny": ("laser", {"wavelength_nm": "1e-320"}),
+    "cfg_gabor_window_cycles_0": ("output", {"gabor_window_cycles": "0"}),
+    "cfg_gabor_window_cycles_-1": ("output", {"gabor_window_cycles": "-1"}),
 }
 
 # keys that set the same field as a key of TINY_CONFIG
@@ -228,6 +234,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"unknown key '{key}' in section [{section}]" in err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("value", ["0.0", "-1.0"])
+    def test_gabor_window_from_manifest_is_config_error(self, value,
+                                                        tiny_records,
+                                                        tmp_path, capsys):
+        records = Path(shutil.copytree(tiny_records / "records",
+                                       tmp_path / "records"))
+        path = records / "manifest.json"
+        data = json.loads(path.read_text())
+        line = "gabor_window_cycles = 0.35\n"
+        assert line in data["config"]
+        data["config"] = data["config"].replace(
+            line, f"gabor_window_cycles = {value}\n")
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["gabor", "--records", str(records),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: gabor_window_cycles must be finite and "
+            f"> 0, got {value}")
+        assert not (tmp_path / "out").exists()
+
+    # a producing command refuses in _start, an analysis when it opens the
+    # records; --out names a file, or a path through one
+    @pytest.mark.parametrize("argv", [
+        ["orbits"], ["sfa"], ["spectrum", "--records", "{records}"]],
+        ids=["orbits", "sfa", "spectrum"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below"])
+    def test_out_not_a_directory_is_config_error(self, argv, below,
+                                                 tiny_records, tmp_path,
+                                                 capsys):
+        records = tiny_records / "records"
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if below else afile
+        before = tree_digest(records, skip=())
+        capsys.readouterr()
+        argv = [a.format(records=records) for a in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: --out {out}: {afile} exists and is not a "
+            f"directory")
+        assert list(tmp_path.iterdir()) == [afile]
+        assert afile.read_text() == "kept\n"
+        assert tree_digest(records, skip=()) == before
 
     @staticmethod
     def hashed_by(case, records, out, monkeypatch) -> list:
@@ -375,6 +426,49 @@ class TestRecordChecks:
         assert "checksum mismatch for snapshots/config_0000.bin" in err
         assert err.count("warning:") == 1
 
+    # the digests of the one pass over the snapshot files are compared: a
+    # flipped amplitude byte warns once, and no file is hashed again
+    @pytest.mark.parametrize("command", ["purity", "density-map"])
+    def test_tampered_snapshot_warns_once(self, command, records, tmp_path,
+                                          capsys, monkeypatch):
+        snap = records / "snapshots" / "config_0000.bin"
+        raw = bytearray(snap.read_bytes())
+        raw[-16] ^= 0x01        # lowest mantissa byte of the last amplitude
+        snap.write_bytes(bytes(raw))
+        hashed = []
+        monkeypatch.setattr("hhg1d.storage.sha256_of", hashed.append)
+        capsys.readouterr()
+        assert main([command, "--records", str(records),
+                     "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert ("warning: checksum mismatch for snapshots/config_0000.bin "
+                "(records were edited?)") in err
+        assert hashed == []
+
+    # a file cut short after the set was opened fails the pass: exit 3,
+    # before any digest is compared or any output written
+    @pytest.mark.parametrize("command", ["purity", "density-map"])
+    def test_file_truncated_mid_pass_is_3(self, command, records, tmp_path,
+                                          capsys, monkeypatch):
+        class CutAfterOpening(SnapshotSet):
+            def __init__(self, paths):
+                super().__init__(paths)
+                victim = self.paths[1]
+                record = victim.stat().st_size // len(self)
+                victim.write_bytes(victim.read_bytes()[:2 * record + 10])
+
+        monkeypatch.setattr("hhg1d.cli.SnapshotSet", CutAfterOpening)
+        capsys.readouterr()
+        assert main([command, "--records", str(records),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert (f"missing artifact: malformed record file: "
+                f"{records / 'snapshots' / 'config_0001.bin'}: file ends "
+                f"inside record 2") in err
+        assert "warning" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["purity", "density-map"])
     def test_mixed_snapshot_set_is_3(self, command, records, tmp_path,
                                      capsys):
@@ -410,6 +504,7 @@ class TestRecordChecks:
 
     @pytest.mark.parametrize("command, name, damage", [
         ("purity", "snapshots/config_0001.bin", "truncate"),
+        ("density-map", "snapshots/config_0001.bin", "truncate"),
         ("spectrum", "accel_configs.bin", "truncate"),
         ("pair-correlation", "environment.txt", "append"),
     ])

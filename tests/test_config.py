@@ -101,6 +101,18 @@ class TestParsing:
             parse_config(f"[grid]\nrecord_stride = {n_steps + 1}\n")
         parse_config(f"[grid]\nrecord_stride = {n_steps}\n")
 
+    @pytest.mark.parametrize("value", ["0", "-1", "0.0"])
+    def test_gabor_window_must_be_positive(self, value):
+        with pytest.raises(ConfigError, match="gabor_window_cycles must be "
+                                              "finite and > 0"):
+            parse_config(f"[output]\ngabor_window_cycles = {value}\n")
+        parse_config("[output]\ngabor_window_cycles = 1e-3\n")
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+    def test_run_config_refuses_gabor_window(self, value):
+        with pytest.raises(ValueError, match="gabor_window_cycles"):
+            RunConfig(gabor_window_cycles=value)
+
     def test_wavelength_alternative(self):
         cfg = parse_config("[laser]\nwavelength_nm = 1030\n")
         assert cfg.laser.omega_L == pytest.approx(0.044, abs=3e-4)

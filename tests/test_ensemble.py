@@ -3,9 +3,9 @@ import pytest
 
 import hhg1d.model as model
 import hhg1d.tdse as tdse
-from hhg1d.ensemble import (MaskSpec, RunConfig, density_matrix_map,
-                            probability_density_map, purity, purity_series,
-                            run_ensemble)
+from hhg1d.ensemble import (GRAM_BLOCK, MaskSpec, RunConfig,
+                            density_matrix_map, probability_density_map,
+                            purity, purity_series, run_ensemble)
 from hhg1d.model import (AtomParams, EnvironmentConfig, LaserParams,
                          PerturberParams, potential_atom, potential_env,
                          gradient_atom, gradient_env)
@@ -87,43 +87,127 @@ class TestApplyMask:
         assert np.sum(tail**2) * fine_grid.dx < 1e-2
 
 
+def dense_purity(states: np.ndarray, dx: float) -> float:
+    """tr[ρ²]/tr[ρ]² of the uniform mixture, from the dense ρ."""
+    rho = sum(np.outer(v, v.conj()) for v in states) / len(states) * dx
+    return float(np.trace(rho @ rho).real / np.trace(rho).real ** 2)
+
+
 class TestPurity:
+    # without a mask, both purities are that of the states
     def test_single_state(self):
         a = random_states(1, 64, 0)
-        assert purity(a, 0.1) == pytest.approx(1.0, abs=1e-12)
+        assert purity(a, 0.1) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_orthonormal_pair(self):
         dx = 0.1
         a = np.zeros((2, 64), dtype=complex)
         a[0, 10] = 1.0 / np.sqrt(dx)
         a[1, 20] = 1.0 / np.sqrt(dx)
-        assert purity(a, dx) == pytest.approx(0.5, abs=1e-12)
+        assert purity(a, dx) == pytest.approx((0.5, 0.5), abs=1e-12)
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     @pytest.mark.parametrize("n", [32, 64])
     def test_gram_equals_dense_oracle(self, m, n):
         dx = 0.1
         a = random_states(m, n, seed=m * 100 + n, normalize=False)
-        rho = sum(np.outer(v, v.conj()) for v in a) / m * dx
-        dense = np.trace(rho @ rho).real / np.trace(rho).real ** 2
-        assert purity(a, dx) == pytest.approx(dense, abs=1e-10)
+        dense = dense_purity(a, dx)
+        assert purity(a, dx) == pytest.approx((dense, dense), abs=1e-10)
 
     def test_bounds(self):
         for m in (2, 3, 5, 8):
             a = random_states(m, 128, seed=m)
-            p = purity(a, 0.1)
-            assert 1.0 / m - 1e-12 <= p <= 1.0 + 1e-12
+            for p in purity(a, 0.1):
+                assert 1.0 / m - 1e-12 <= p <= 1.0 + 1e-12
 
     def test_parallel_states_give_one(self):
         base = random_states(1, 64, 3)[0]
         phases = np.exp(1j * np.linspace(0, 2, 5))
         a = np.stack([ph * base for ph in phases])
-        assert purity(a, 0.1) == pytest.approx(1.0, abs=1e-12)
+        assert purity(a, 0.1) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_all_zero_masked_error(self):
         a = np.zeros((3, 64), dtype=complex)
         with pytest.raises(ValueError):
             purity(a, 0.1)
+
+
+# masks on 48 points, and one on 300 whose 236 ones take two zherk calls:
+# which columns are exactly 1 decides the split into the shared Gram and
+# the thin ones
+SPLIT_MASKS = {
+    "none": None,
+    "all_ones": np.ones(48),
+    "no_ones": np.r_[np.zeros(16), np.linspace(0.1, 0.9, 32)],
+    "ramp_only": np.linspace(0.05, 0.95, 48),
+    "mixed": np.r_[np.zeros(12), np.linspace(0.0, 1.0, 12)[1:-1],
+                   np.ones(16), np.linspace(1.0, 0.0, 12)[1:-1]],
+    "mixed_wide": np.r_[np.zeros(12), np.linspace(0.0, 1.0, 28)[1:-1],
+                        np.ones(236), np.linspace(1.0, 0.0, 28)[1:-1]],
+}
+
+
+class TestGramSplit:
+    """Both purities of one probe, from the Gram of the columns where the
+    mask is 1 plus thin Grams of the others, against the dense ρ of the
+    states and of the masked states."""
+
+    @pytest.fixture
+    def herk_widths(self, monkeypatch):
+        """The number of columns of every zherk call purity makes."""
+        import scipy.linalg.blas as blas
+        widths, herk = [], blas.zherk
+        def counted(alpha, a, *args, **kwargs):
+            widths.append(a.shape[0])    # a is the (columns, n_c) transpose
+            return herk(alpha, a, *args, **kwargs)
+        monkeypatch.setattr(blas, "zherk", counted)
+        return widths
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    @pytest.mark.parametrize("name", sorted(SPLIT_MASKS))
+    def test_split_equals_dense_oracle(self, name, m, herk_widths):
+        dx, mask = 0.173, SPLIT_MASKS[name]
+        n = 48 if mask is None else mask.size
+        a = random_states(m, n, seed=7 * m, normalize=False)
+        p, p_masked = purity(a, dx, mask)
+        assert p == pytest.approx(dense_purity(a, dx), abs=1e-10)
+        masked = a if mask is None else a * mask
+        assert p_masked == pytest.approx(dense_purity(masked, dx), abs=1e-10)
+        # each column set in calls of at most GRAM_BLOCK columns; none for
+        # an empty set
+        n_in = n if mask is None else int(np.sum(mask == 1.0))
+        n_ramp = 0 if mask is None else int(np.sum((mask != 0) & (mask != 1)))
+        want = [min(GRAM_BLOCK, size - lo) for size in (n_in, n - n_in, n_ramp)
+                for lo in range(0, size, GRAM_BLOCK)]
+        assert herk_widths == want
+
+    def test_probe_order_and_dtype(self):
+        # a real probe and a non-contiguous one give the complex result
+        a = random_states(4, 96, seed=3, normalize=False)
+        mask = np.tile(SPLIT_MASKS["mixed"], 2)
+        want = purity(np.ascontiguousarray(a[:, ::2]), 0.1, mask[::2])
+        assert purity(a[:, ::2], 0.1, mask[::2]) == want
+        real = a.real.copy()
+        assert purity(real, 0.1, mask) == purity(real + 0j, 0.1, mask)
+
+    def test_mask_of_another_length_raises(self):
+        with pytest.raises(ValueError, match="47 mask values for 48"):
+            purity(random_states(2, 48, seed=2), 0.1, np.ones(47))
+
+    @pytest.mark.parametrize("name", ["mixed", "no_ones"])
+    def test_zero_masked_mass_raises(self, name):
+        mask = SPLIT_MASKS[name]
+        a = random_states(3, 48, seed=1, normalize=False)
+        a[:, mask != 0] = 0.0      # all the mass where the mask is 0
+        with pytest.raises(ValueError, match="zero mass"):
+            purity(a, 0.1, mask)
+        with pytest.raises(ValueError, match="zero mass"):
+            purity(random_states(3, 48, seed=1), 0.1, np.zeros(48))
+
+    def test_default_mask_shares_most_columns(self):
+        # the reduced point's grid: the mask is 1 on 985 of 1024 columns
+        grid = Grid(-160.0, 160.0, 1024)
+        assert int(np.sum(MaskSpec().values(grid.x) == 1.0)) == 985
 
 
 class TestRunEnsemble:

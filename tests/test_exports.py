@@ -92,8 +92,9 @@ def _loaded_by_cli_import(modules: list[str]) -> list[str]:
 
 def test_cli_start_up_loads_no_heavy_scipy_modules():
     # every hhg1d process pays for what `hhg1d.cli` imports; these are
-    # loaded on first use, by the step and the purity fit, and
-    # scipy.sparse.linalg by no hhg1d code at all
+    # loaded on first use, by the step, the Gram purity (scipy.linalg's
+    # BLAS) and the purity fit, and scipy.sparse.linalg by no hhg1d code at
+    # all
     assert _loaded_by_cli_import(["scipy.fft", "scipy.optimize",
                                   "scipy.sparse.linalg", "scipy.linalg"]) == []
 

@@ -186,6 +186,38 @@ class TestSnapshotSet:
         for a, b in zip(lazy, eager):
             assert a.tobytes() == b.tobytes()
 
+    def test_in_order_pass_gives_file_digests(self, tmp_path):
+        files, _ = write_snapshot_set(tmp_path, 4, [0.0, 0.5, 1.0], 16)
+        probes = SnapshotSet(files)
+        for k in range(3):
+            assert probes.digests() is None
+            probes[k]
+        want = [sha256_of(f) for f in files]
+        assert probes.digests() == want
+        # later reads, in any order, leave the digests as they are
+        probes[1], probes[0]
+        assert probes.digests() == want
+
+    @pytest.mark.parametrize("order", [[2, 1, 0], [0, 2, 1], [0, 0, 2, 1]])
+    def test_reads_out_of_order_give_probes_and_no_digests(self, tmp_path,
+                                                           order):
+        files, states = write_snapshot_set(tmp_path, 3, [0.0, 0.5, 1.0], 8)
+        probes = SnapshotSet(files)
+        for k in order:
+            assert probes[k].tobytes() == states[k].tobytes()
+        assert probes.digests() is None
+
+    def test_file_truncated_after_opening(self, tmp_path):
+        files, _ = write_snapshot_set(tmp_path, 3, [0.0, 0.5, 1.0], 8)
+        probes = SnapshotSet(files)
+        probes[0]
+        files[1].write_bytes(files[1].read_bytes()[:-20])
+        with pytest.raises(MalformedRecordError,
+                           match=f"^{re.escape(str(files[1]))}: file ends "
+                                 f"inside record 2"):
+            probes[2]
+        assert probes.digests() is None
+
     @pytest.mark.parametrize("cut", [3, 44 + 16 * 8])
     def test_size_differs_from_first_file(self, tmp_path, cut):
         files, _ = write_snapshot_set(tmp_path, 3, [0.0, 1.0], 8)
@@ -303,6 +335,11 @@ class TestManifest:
         loaded = Manifest.load(tmp_path)
         assert loaded.data["master_seed"] == 42
         assert loaded.verify_outputs(["out.csv"]) == []
+
+        # digests of a read that covered the files are compared, not the
+        # files hashed again
+        assert loaded.verify_outputs(["out.csv"], [sha256_of(data)]) == []
+        assert loaded.verify_outputs(["out.csv"], ["0" * 64]) == ["out.csv"]
 
         data.write_text("tampered")
         assert loaded.verify_outputs(["out.csv"]) == ["out.csv"]
