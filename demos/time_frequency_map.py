@@ -26,8 +26,9 @@ record = propagate(psi0, plan, 0.0, laser.duration,
 print("propagation done; computing the map ...")
 
 orders = np.arange(5.0, 55.0, 0.25)
+taus = np.arange(record.times[0], record.times[-1], T / 64)
 gmap = gabor(record.times, record.accel, 0.35 * T, orders * laser.omega_L,
-             laser=laser)
+             taus)
 print(f"map: {gmap.taus.size} window centres x {gmap.omegas.size} "
       f"frequencies")
 

@@ -27,7 +27,7 @@ from .model import (AtomParams, EnvironmentConfig, LaserParams,
                     PerturberParams, envelope, field_at, gradient_atom,
                     gradient_env, ponderomotive_energy, potential_atom,
                     potential_env, quiver_radius)
-from .sampler import (SeededRng, StructureParams, default_perturber_count,
+from .sampler import (StructureParams, default_perturber_count,
                       pair_correlation, sample_configuration,
                       sample_ensemble, sample_gap)
 from .semiclassics import (BackscatterTrajectory, PeriodicOrbit,
@@ -45,7 +45,7 @@ __all__ = [
     "AtomParams", "BackscatterTrajectory", "EnsembleRecord",
     "EnvironmentConfig", "GaborMap", "Grid", "LaserParams", "MaskSpec",
     "PeriodicOrbit", "PerturberParams", "PropagationRecord",
-    "PropagatorPlan", "PurityFit", "RunConfig", "SeededRng", "Spectrum",
+    "PropagatorPlan", "PurityFit", "RunConfig", "Spectrum",
     "StructureParams", "absorber_mask", "classical_flow",
     "default_perturber_count", "density_matrix_map", "envelope",
     "field_at", "find_cutoff", "find_periodic_orbit",

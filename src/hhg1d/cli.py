@@ -254,7 +254,8 @@ def cmd_gabor(args) -> int:
     t_w = run.cfg.gabor_window_cycles * laser.period
     omegas = np.arange(0.0, args.max_order + 1e-9, args.d_order) \
         * laser.omega_L
-    gmap = gabor(t_axis, series, t_w, omegas, laser=laser)
+    taus = np.arange(t_axis[0], t_axis[-1] + 1e-12, laser.period / 64.0)
+    gmap = gabor(t_axis, series, t_w, omegas, taus)
     path = run.path("gabor.bin")
     write_map(path, gmap.taus, gmap.omegas / laser.omega_L, gmap.values,
               "tau", "order")
@@ -280,10 +281,14 @@ def cmd_purity(args) -> int:
     for which, fit in zip(("total", "photoelectron"), fits):
         print(f"{which}: gamma={fit.gamma:.3f} t*={fit.t_star:.3f} fs "
               f"t0={fit.t0:.3f} fs residual={fit.residual_norm:.2e}")
+        if not fit.converged:
+            print(f"warning: the {which} purity fit stopped at its "
+                  f"evaluation cap before converging", file=sys.stderr)
     rows = {"which": [0.0, 1.0], "gamma": [f.gamma for f in fits],
             "t_star_fs": [f.t_star for f in fits],
             "t0_fs": [f.t0 for f in fits],
-            "residual": [f.residual_norm for f in fits]}
+            "residual": [f.residual_norm for f in fits],
+            "converged": [int(f.converged) for f in fits]}
     fit_path = run.path("purity_fit.csv")
     write_csv(fit_path, rows, "purity", run.manifest.checksum(),
               extra_comments=("which: 0 = total, 1 = photoelectron",))

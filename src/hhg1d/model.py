@@ -145,8 +145,6 @@ def gradient_atom(x, atom: AtomParams):
 def potential_env(x, config: EnvironmentConfig, pert: PerturberParams):
     """Sum of identical Gaussian wells centred at the scatterer positions."""
     x = np.asarray(x, dtype=float)
-    if pert.A_E == 0.0 or config.positions.size == 0:
-        return np.zeros_like(x)
     d = x[..., None] - config.positions
     return -pert.A_E * np.exp(-0.5 * (d / pert.sigma_E) ** 2).sum(axis=-1)
 
@@ -154,8 +152,6 @@ def potential_env(x, config: EnvironmentConfig, pert: PerturberParams):
 def gradient_env(x, config: EnvironmentConfig, pert: PerturberParams):
     """Analytic derivative of potential_env with respect to x."""
     x = np.asarray(x, dtype=float)
-    if pert.A_E == 0.0 or config.positions.size == 0:
-        return np.zeros_like(x)
     d = x[..., None] - config.positions
     s2 = pert.sigma_E**2
     return (pert.A_E / s2) * (d * np.exp(-0.5 * d * d / s2)).sum(axis=-1)

@@ -5,7 +5,7 @@ Successive gaps Δx_k = x_{k+1} - x_k are independent draws from a Gaussian
 N(a, σ²) truncated to [2a/3, 4a/3]; the same truncated law fixes the two
 innermost scatterers -x_j and x_{j+1}, leaving a buffer zone around the
 parent atom at the origin.  Sampling is reproducible: a configuration is
-fully determined by (master_seed, stream_index).
+fully determined by (master_seed, stream index).
 """
 
 from __future__ import annotations
@@ -40,20 +40,11 @@ class StructureParams:
         return (2.0 * self.a / 3.0, 4.0 * self.a / 3.0)
 
 
-@dataclass(frozen=True)
-class SeededRng:
-    """Deterministic random stream: (master_seed, stream_index) fixes the draws."""
-
-    master_seed: int
-    stream_index: int = 0
-
-    def __post_init__(self):
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be nonnegative")
-
-    def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
-        return np.random.default_rng(seq)
+def stream(master_seed: int, index: int) -> np.random.Generator:
+    """The generator of stream `index` of `master_seed`: its draws are fixed
+    by the pair, and streams of one seed are independent."""
+    return np.random.default_rng(
+        np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
 def default_perturber_count(laser: LaserParams, structure: StructureParams) -> int:
@@ -63,10 +54,8 @@ def default_perturber_count(laser: LaserParams, structure: StructureParams) -> i
     return max(2, 2 * half)
 
 
-def sample_gap(rng: np.random.Generator | SeededRng, s: StructureParams) -> float:
+def sample_gap(rng: np.random.Generator, s: StructureParams) -> float:
     """One draw from N(a, σ²) restricted to [2a/3, 4a/3], by rejection."""
-    if isinstance(rng, SeededRng):
-        rng = rng.generator()
     if s.sigma == 0.0:
         return s.a
     lo, hi = s.window
@@ -76,7 +65,7 @@ def sample_gap(rng: np.random.Generator | SeededRng, s: StructureParams) -> floa
             return float(g)
 
 
-def sample_configuration(rng: np.random.Generator | SeededRng,
+def sample_configuration(rng: np.random.Generator,
                          s: StructureParams) -> EnvironmentConfig:
     """Draw one scatterer configuration.
 
@@ -84,8 +73,6 @@ def sample_configuration(rng: np.random.Generator | SeededRng,
     grown outward by cumulative gap sums, right side before left.  The draw
     order is part of the determinism contract.
     """
-    if isinstance(rng, SeededRng):
-        rng = rng.generator()
     half = s.n_p // 2
     inner_left = -sample_gap(rng, s)
     inner_right = sample_gap(rng, s)
@@ -102,7 +89,7 @@ def sample_configuration(rng: np.random.Generator | SeededRng,
 def sample_ensemble(master_seed: int, n_configs: int,
                     s: StructureParams) -> list[EnvironmentConfig]:
     """n_configs independent configurations on streams 0..n_configs-1."""
-    return [sample_configuration(SeededRng(master_seed, i), s)
+    return [sample_configuration(stream(master_seed, i), s)
             for i in range(n_configs)]
 
 

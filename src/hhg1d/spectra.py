@@ -45,12 +45,18 @@ class GaborMap:
 
 @dataclass
 class PurityFit:
-    """Parameters of P(t) = γ[exp(-(t-t0)/t*) - 1] + 1, times in fs."""
+    """Parameters of P(t) = γ[exp(-(t-t0)/t*) - 1] + 1, times in fs.
+
+    `converged` is False when the least-squares solve stopped at its
+    evaluation cap rather than on a tolerance: the parameters are then
+    wherever the cap left them.
+    """
 
     gamma: float
     t_star: float
     t0: float
     residual_norm: float
+    converged: bool
     degenerate: bool = False
 
 
@@ -89,13 +95,12 @@ def gabor_window(t: np.ndarray, t_w: float) -> np.ndarray:
 
 
 def gabor(times: np.ndarray, d: np.ndarray, t_w: float,
-          omegas: np.ndarray, taus: np.ndarray | None = None,
-          laser: LaserParams | None = None) -> GaborMap:
-    """Magnitude of the windowed transform ∫ d(t) w(τ-t) e^{-iωt} dt.
+          omegas: np.ndarray, taus: np.ndarray) -> GaborMap:
+    """Magnitude of the windowed transform ∫ d(t) w(τ-t) e^{-iωt} dt at
+    each window centre τ of `taus` and each frequency ω of `omegas`.
 
-    `taus` defaults to a stride of T_L/64 across the recorded interval
-    (which requires `laser`).  Each τ row only touches samples within the
-    window support, so the cost scales with T_w, not the record length.
+    Each τ row only touches samples within the window support, so the cost
+    scales with T_w, not the record length.
 
     The map is one matrix product |W E|·dt: row i of W holds the windowed
     samples of τ_i from their first sample t_lo on, and E_mj = e^{-iω_j m dt}.
@@ -108,10 +113,6 @@ def gabor(times: np.ndarray, d: np.ndarray, t_w: float,
     dt = _check_uniform(times)
     if t_w <= 0:
         raise ValueError("window duration must be positive")
-    if taus is None:
-        if laser is None:
-            raise ValueError("default tau grid needs the laser (stride T_L/64)")
-        taus = np.arange(times[0], times[-1] + 1e-12, laser.period / 64.0)
     taus = np.asarray(taus, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
     half = 0.5 * t_w
@@ -214,7 +215,7 @@ def fit_purity_decay(times_au: np.ndarray, p: np.ndarray,
     linearly at each node, then a bounded trust-region-reflective
     least-squares solve from the best node, with γ in [0, 1] and
     t* ≥ 1e-6 fs.  A flat series short-circuits to γ = 0 with the
-    degenerate flag set.
+    degenerate flag set, and counts as converged.
     """
     times_au = np.asarray(times_au, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -228,7 +229,7 @@ def fit_purity_decay(times_au: np.ndarray, p: np.ndarray,
     drop = float(p.max() - p.min())
     if drop < 1e-12 or span <= 0.0:
         return PurityFit(0.0, np.inf, t[0] if t.size else 0.0, 0.0,
-                         degenerate=True)
+                         converged=True, degenerate=True)
 
     best, best_cost = None, np.inf
     for t_star in np.geomspace(span / 30.0, 3.0 * span, 24):
@@ -245,10 +246,13 @@ def fit_purity_decay(times_au: np.ndarray, p: np.ndarray,
 
     # imported here, its only use: it adds ~20 MB to every hhg1d start-up
     from scipy.optimize import least_squares
-    theta = least_squares(lambda th: _decay_model(th, t) - p, best,
+    solve = least_squares(lambda th: _decay_model(th, t) - p, best,
                           jac=lambda th: _decay_jacobian(th, t),
                           bounds=([0.0, 1e-6, -np.inf], [1.0, np.inf, np.inf]),
-                          method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15).x
+                          method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    theta = solve.x
     r = _decay_model(theta, t) - p
     return PurityFit(gamma=float(theta[0]), t_star=float(theta[1]),
-                     t0=float(theta[2]), residual_norm=float(np.linalg.norm(r)))
+                     t0=float(theta[2]),
+                     residual_norm=float(np.linalg.norm(r)),
+                     converged=bool(solve.status > 0))

@@ -5,8 +5,10 @@ Grid propagation of a single conditioned state under
 
 using a split-operator scheme: the kinetic factor is applied in momentum
 representation (FFT), potential and field factors pointwise in position,
-composed with the fourth-order coefficients from `splitting`.  The same
-machinery run in imaginary time prepares the ground state.
+composed with the fourth-order coefficients from `splitting`.  The ground
+state comes from `ground_state`, a separate imaginary-time loop: it uses
+the second-order Strang splitting on `numpy.fft`, because the fourth-order
+composition is unstable in imaginary time.
 
 All propagation routines accept either a single state of shape (n,) or a
 batch of shape (m, n) and treat the last axis as the spatial grid; batching
@@ -196,7 +198,8 @@ def propagate(psi0: np.ndarray, plan: PropagatorPlan, t_start: float,
     `PropagationFailure`, naming the batch row and the step.  Snapshots
     are stored at the step times closest to each requested probe time.
     `static_gradient` is d/dx of the static potential, needed by the
-    acceleration recorder; shapes follow `static_potential` in the plan.
+    acceleration recorder; its shape must be that of `static_potential`
+    in the plan, or ValueError is raised.
     """
     dt = plan.dt
     n_steps = int(round((t_end - t_start) / dt))
@@ -207,10 +210,13 @@ def propagate(psi0: np.ndarray, plan: PropagatorPlan, t_start: float,
     x = plan.grid.x
     dx = plan.grid.dx
     grad = np.asarray(static_gradient, dtype=float)
+    if grad.shape != plan.static_kick_factors[0].shape:
+        raise ValueError(f"static gradient of shape {grad.shape} for a plan "
+                         f"whose static potential has shape "
+                         f"{plan.static_kick_factors[0].shape}")
 
-    probe_times = np.asarray(sorted(probe_times), dtype=float)
-    probe_steps = np.unique(np.round((probe_times - t_start) / dt).astype(int)) \
-        if probe_times.size else np.empty(0, dtype=int)
+    probe_times = np.asarray(probe_times, dtype=float)
+    probe_steps = np.unique(np.round((probe_times - t_start) / dt).astype(int))
     probe_steps = probe_steps[(probe_steps >= 0) & (probe_steps <= n_steps)]
 
     psi = np.asarray(psi0, dtype=complex).copy()
@@ -275,9 +281,12 @@ def check_ground_state_depth(v_min: float) -> None:
                          f"e^{exponent:.6g} at dτ = {_GROUND_STATE_DTAUS[0]}")
 
 
-def ground_state(grid: Grid, potential: Callable | np.ndarray,
+def ground_state(grid: Grid, potential: Callable[[np.ndarray], np.ndarray],
                  max_iter: int = 20000) -> tuple[np.ndarray, float]:
     """Lowest eigenstate by imaginary-time split-operator propagation.
+
+    `potential` maps the grid's x to V(x) on it, shape (n,); any other
+    shape raises ValueError.
 
     The decay kernel is the Strang splitting e^{-dτV/2} e^{-dτT} e^{-dτV/2};
     in imaginary time every factor is a pure decay, so the iteration is
@@ -291,7 +300,7 @@ def ground_state(grid: Grid, potential: Callable | np.ndarray,
     or drift that is not finite raises `ConvergenceError` at once, naming the
     stage's dτ and the iteration.
     """
-    v = potential(grid.x) if callable(potential) else np.asarray(potential)
+    v = np.asarray(potential(grid.x))
     if v.shape != (grid.n,):
         raise ValueError("potential shape does not match the grid")
     psi = np.exp(-grid.x**2 / 2.0).astype(complex)

@@ -11,6 +11,7 @@ import pytest
 
 from hhg1d.cli import main
 from hhg1d.config import RunConfig, parse_config
+from hhg1d.ensemble import purity_series
 from hhg1d.sampler import load_configurations
 from hhg1d.storage import (MalformedRecordError, Manifest, SnapshotSet,
                            read_csv, read_map, read_wavefunctions, write_map,
@@ -723,6 +724,10 @@ class TestPipeline:
                      "--max-order", "20"]) == 0
         taus, orders, vals, rl, cl = read_map(out / "gabor.bin")
         assert vals.shape == (taus.size, orders.size)
+        # window centres every T_L/64 from the first record on
+        period = 2 * np.pi / 0.057
+        assert taus[0] == 0.0
+        np.testing.assert_allclose(np.diff(taus), period / 64, rtol=1e-12)
 
         assert main(["purity", "--records", str(out)]) == 0
         cols, _ = read_csv(out / "purity.csv")
@@ -781,6 +786,27 @@ class TestPipeline:
         assert main(["run", "--config", str(tiny_config)]) == 0
         outputs = Manifest.load(tmp_path / "out").data["outputs"]
         assert "mean_series.csv" in outputs
+
+    def test_unconverged_fit_warns(self, tiny_records, tmp_path, capsys,
+                                   monkeypatch):
+        # a total purity that falls near-linearly far below 1 stops the fit
+        # at its evaluation cap; the photoelectron fit still converges
+        real = purity_series
+
+        def near_linear_total(*args):
+            t, _, p_ph = real(*args)
+            return t, 0.46 - 1e-5 * t, p_ph
+
+        monkeypatch.setattr("hhg1d.cli.purity_series", near_linear_total)
+        capsys.readouterr()
+        assert main(["purity", "--records", str(tiny_records / "records"),
+                     "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert ("warning: the total purity fit stopped at its evaluation cap "
+                "before converging") in err
+        cols, _ = read_csv(tmp_path / "purity_fit.csv")
+        assert cols["converged"].tolist() == [0.0, 1.0]
 
     def test_spectrum_hann(self, tiny_records, tmp_path):
         records = tiny_records / "records"

@@ -301,9 +301,9 @@ class TestRunEnsemble:
 class TestFailureReporting:
     @pytest.fixture
     def block(self):
-        from hhg1d.sampler import SeededRng, sample_configuration
+        from hhg1d.sampler import sample_configuration, stream
         spec = RunConfig(n_c=2, **TINY)
-        configs = [sample_configuration(SeededRng(0, i), spec.structure)
+        configs = [sample_configuration(stream(0, i), spec.structure)
                    for i in range(2)]
         return spec, configs
 

@@ -76,6 +76,21 @@ class TestPotentials:
         assert np.all(potential_env(np.linspace(-20, 20, 50), config, pert)
                       == 0.0)
 
+    @pytest.mark.parametrize("positions, a_e", [([-10.0, 10.0], 0.0),
+                                                 ([], 0.8)],
+                             ids=["no_depth", "no_chain"])
+    def test_env_gas_phase_adds_nothing(self, atom, positions, a_e):
+        # a run's static potential and gradient are then the atom's bytes
+        config = EnvironmentConfig(positions=np.array(positions))
+        pert = PerturberParams(A_E=a_e)
+        x = np.linspace(-20, 20, 51)
+        for atom_part, env_part in ((potential_atom, potential_env),
+                                    (gradient_atom, gradient_env)):
+            alone = atom_part(x, atom)
+            assert np.all(env_part(x, config, pert) == 0.0)
+            assert (alone + env_part(x, config, pert)).tobytes() \
+                == alone.tobytes()
+
     def test_env_single_well_depth(self):
         config = EnvironmentConfig(positions=np.array([-30.0, 12.5]))
         pert = PerturberParams(A_E=0.8, sigma_E=0.5)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hhg1d.sampler import (SeededRng, StructureParams, load_configurations,
+from hhg1d.sampler import (StructureParams, load_configurations,
                            pair_correlation, sample_configuration,
-                           sample_ensemble, sample_gap, save_configurations)
+                           sample_ensemble, sample_gap, save_configurations,
+                           stream)
 from hhg1d.storage import MalformedRecordError
 
 
@@ -89,11 +90,11 @@ class TestGolden:
 class TestSampleGap:
     def test_degenerate_sigma(self):
         s = StructureParams(a=10.0, sigma=0.0, n_p=4)
-        assert sample_gap(SeededRng(1), s) == 10.0
+        assert sample_gap(stream(1, 0), s) == 10.0
 
     def test_support(self):
         s = StructureParams(a=10.0, sigma=3.0, n_p=4)
-        rng = SeededRng(42).generator()
+        rng = stream(42, 0)
         draws = np.array([sample_gap(rng, s) for _ in range(2000)])
         assert draws.min() >= 2 * 10.0 / 3
         assert draws.max() <= 4 * 10.0 / 3
@@ -109,7 +110,7 @@ class TestSampleGap:
         var_oracle = m2 - m1**2
 
         s = StructureParams(a=a, sigma=sigma, n_p=4)
-        rng = SeededRng(7).generator()
+        rng = stream(7, 0)
         draws = rng.normal(a, sigma, size=4_000_000)
         draws = draws[(draws >= lo) & (draws <= hi)][:1_000_000]
         assert draws.size == 1_000_000
@@ -119,41 +120,45 @@ class TestSampleGap:
 class TestSampleConfiguration:
     def test_two_perturbers(self):
         s = StructureParams(a=10.0, sigma=1.0, n_p=2)
-        c = sample_configuration(SeededRng(5), s)
+        c = sample_configuration(stream(5, 0), s)
         assert c.positions.size == 2
         assert -40.0 / 3 <= c.positions[0] <= -20.0 / 3
         assert 20.0 / 3 <= c.positions[1] <= 40.0 / 3
 
     def test_rigid_lattice_at_zero_sigma(self):
         s = StructureParams(a=10.0, sigma=0.0, n_p=6)
-        c = sample_configuration(SeededRng(5), s)
+        c = sample_configuration(stream(5, 0), s)
         np.testing.assert_allclose(c.positions,
                                    [-30.0, -20.0, -10.0, 10.0, 20.0, 30.0])
 
     def test_buffer_zone(self):
         s = StructureParams(a=10.0, sigma=1.5, n_p=8)
         for i in range(50):
-            c = sample_configuration(SeededRng(99, i), s)
+            c = sample_configuration(stream(99, i), s)
             assert np.min(np.abs(c.positions)) >= 2 * 10.0 / 3
 
     def test_strictly_increasing(self):
         s = StructureParams(a=10.0, sigma=2.0, n_p=12)
         for i in range(20):
-            c = sample_configuration(SeededRng(123, i), s)
+            c = sample_configuration(stream(123, i), s)
             assert np.all(np.diff(c.positions) > 0)
 
     def test_determinism(self):
         s = StructureParams(a=10.0, sigma=1.0, n_p=10)
-        a = sample_configuration(SeededRng(77, 3), s)
-        b = sample_configuration(SeededRng(77, 3), s)
+        a = sample_configuration(stream(77, 3), s)
+        b = sample_configuration(stream(77, 3), s)
         np.testing.assert_array_equal(a.positions, b.positions)
-        c = sample_configuration(SeededRng(77, 4), s)
+        c = sample_configuration(stream(77, 4), s)
         assert not np.array_equal(a.positions, c.positions)
+
+    def test_negative_stream_index_refused(self):
+        with pytest.raises(ValueError):
+            stream(77, -1)
 
     def test_streams_independent_of_order(self):
         s = StructureParams(a=10.0, sigma=1.0, n_p=6)
         ensemble = sample_ensemble(2024, 5, s)
-        again = [sample_configuration(SeededRng(2024, i), s)
+        again = [sample_configuration(stream(2024, i), s)
                  for i in (3, 0, 4, 1, 2)]
         for i, j in enumerate((3, 0, 4, 1, 2)):
             np.testing.assert_array_equal(again[i].positions,
@@ -167,7 +172,7 @@ class TestPairCorrelation:
 
     def test_lattice_comb(self):
         s = StructureParams(a=10.0, sigma=0.0, n_p=6)
-        configs = [sample_configuration(SeededRng(1, i), s) for i in range(3)]
+        configs = [sample_configuration(stream(1, i), s) for i in range(3)]
         edges, mass = pair_correlation(configs, 1.0, 65.0)
         centers = 0.5 * (edges[:-1] + edges[1:])
         occupied = centers[mass > 0]
@@ -178,14 +183,14 @@ class TestPairCorrelation:
 
     def test_total_mass_counts_pairs(self):
         s = StructureParams(a=10.0, sigma=1.0, n_p=8)
-        configs = [sample_configuration(SeededRng(8, i), s) for i in range(40)]
+        configs = [sample_configuration(stream(8, i), s) for i in range(40)]
         _, mass = pair_correlation(configs, 0.5, 200.0)
         assert mass.sum() == pytest.approx(8 * 7 / 2)
 
     def test_shell_structure(self):
         # near shells at a, 2a, 3a; flat far out
         s = StructureParams(a=10.0, sigma=1.0, n_p=10)
-        configs = [sample_configuration(SeededRng(31, i), s)
+        configs = [sample_configuration(stream(31, i), s)
                    for i in range(400)]
         edges, mass = pair_correlation(configs, 0.5, 45.0)
         centers = 0.5 * (edges[:-1] + edges[1:])
@@ -198,7 +203,7 @@ class TestPairCorrelation:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         s = StructureParams(a=10.0, sigma=1.0, n_p=6)
-        configs = [sample_configuration(SeededRng(55, i), s) for i in range(4)]
+        configs = [sample_configuration(stream(55, i), s) for i in range(4)]
         path = tmp_path / "env.txt"
         save_configurations(path, configs, s, master_seed=55)
         loaded, header = load_configurations(path)

@@ -298,6 +298,7 @@ class TestPropagate:
                         gradient_atom(fine_grid.x, atom))
         assert rec.times.size == 1
         assert rec.norm[0] == pytest.approx(1.0, abs=1e-12)
+        assert rec.snapshots.shape == (0, fine_grid.n)
 
     def test_snapshots_at_probe_times(self, fine_grid, atom):
         psi = gaussian_packet(fine_grid, 0.0, 3.0)
@@ -310,6 +311,35 @@ class TestPropagate:
         np.testing.assert_allclose(rec.snapshot_times, [0.0, 2.5, 5.0],
                                    atol=0.051)
         assert rec.snapshots.shape == (3, fine_grid.n)
+
+    def test_probe_times_in_any_order(self, fine_grid, atom):
+        psi = gaussian_packet(fine_grid, 0.0, 3.0)
+        plan = PropagatorPlan(fine_grid, 0.05,
+                              potential_atom(fine_grid.x, atom), FIELD_OFF)
+        recs = [propagate(psi, plan, 0.0, 1.0,
+                          gradient_atom(fine_grid.x, atom), probe_times=probes)
+                for probes in ([0.0, 0.5, 1.0], [1.0, 0.51, 0.0, 0.5])]
+        np.testing.assert_array_equal(recs[1].snapshot_times,
+                                      recs[0].snapshot_times)
+        np.testing.assert_array_equal(recs[1].snapshots, recs[0].snapshots)
+
+    @pytest.mark.parametrize("m_potential, m_gradient", [(2, None), (None, 2),
+                                                          (2, 3)],
+                             ids=["batch_plan_single_gradient",
+                                  "single_plan_batch_gradient",
+                                  "batch_sizes_differ"])
+    def test_gradient_shape_must_match_plan(self, fine_grid, atom,
+                                            m_potential, m_gradient):
+        def rows(values, m):
+            return values if m is None else np.tile(values, (m, 1))
+
+        plan = PropagatorPlan(fine_grid, 0.05,
+                              rows(potential_atom(fine_grid.x, atom),
+                                   m_potential), FIELD_OFF)
+        psi = rows(gaussian_packet(fine_grid, 0.0, 3.0), m_potential)
+        with pytest.raises(ValueError, match="static gradient of shape"):
+            propagate(psi, plan, 0.0, 0.1,
+                      rows(gradient_atom(fine_grid.x, atom), m_gradient))
 
     def test_gas_phase_survival_bounds(self, atom):
         laser = LaserParams(F_L=0.09, omega_L=0.057, n_up=1, n_plateau=1,
