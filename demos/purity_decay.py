@@ -23,9 +23,8 @@ spec = RunConfig(n_c=N_CONFIGS, master_seed=4,
 
 print(f"propagating {N_CONFIGS} configurations ...")
 record = run_ensemble(spec, workers=2)
-times, p_total, p_masked = purity_series(record.snapshot_times,
-                                         record.snapshots, spec.grid(),
-                                         MaskSpec())
+times = record.snapshot_times
+p_total, p_masked = purity_series(record.snapshots, spec.grid(), MaskSpec())
 
 T = laser.period
 for k in range(0, times.size, 8):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,17 +60,20 @@ def _out_dir(text: str) -> Path:
 
 
 def _start(args) -> tuple[RunConfig, Path, Manifest]:
-    """Resolve the configuration and its --seed override, then create the
-    output directory of a new product and its manifest."""
+    """Resolve the configuration and the output directory of a new product,
+    and start its manifest; nothing is written before `_begin`."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    if vars(args).get("seed") is not None:
-        try:
-            cfg = replace(cfg, master_seed=args.seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     out = _out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     return cfg, out, Manifest(out, render_config(cfg), cfg.master_seed)
+
+
+def _begin(manifest: Manifest) -> None:
+    """Create the output directory and delete the manifest in it, just
+    before a producing command's first write: records that the command dies
+    while rewriting are then refused, and a command that fails before it
+    writes leaves the earlier records readable."""
+    manifest.directory.mkdir(parents=True, exist_ok=True)
+    manifest.path.unlink(missing_ok=True)
 
 
 def _finish(manifest: Manifest, paths) -> None:
@@ -96,6 +98,7 @@ def cmd_ground_state(args) -> int:
     cfg, out, manifest = _start(args)
     grid = cfg.grid()
     psi, energy = ground_state(grid, lambda x: potential_atom(x, cfg.atom))
+    _begin(manifest)
     write_csv(out / "ground_state.csv",
               {"x": grid.x, "density": np.abs(psi) ** 2,
                "potential": potential_atom(grid.x, cfg.atom)},
@@ -111,6 +114,7 @@ def cmd_ground_state(args) -> int:
 def cmd_sample_env(args) -> int:
     cfg, out, manifest = _start(args)
     configs = sample_ensemble(cfg.master_seed, cfg.n_c, cfg.structure)
+    _begin(manifest)
     save_configurations(out / "environment.txt", configs, cfg.structure,
                         cfg.master_seed)
     _finish(manifest, [out / "environment.txt"])
@@ -123,10 +127,10 @@ def cmd_run(args) -> int:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg, out, manifest = _start(args)
     record = run_ensemble(cfg, workers=args.workers)
-    config_txt, env_txt, mean_csv, accel_bin = paths = [
-        out / "config.txt", out / "environment.txt", out / "mean_series.csv",
+    env_txt, mean_csv, accel_bin = paths = [
+        out / "environment.txt", out / "mean_series.csv",
         out / "accel_configs.bin"]
-    config_txt.write_text(render_config(cfg))
+    _begin(manifest)
     save_configurations(env_txt, record.configs, cfg.structure,
                         cfg.master_seed)
     write_csv(mean_csv,
@@ -135,18 +139,18 @@ def cmd_run(args) -> int:
                "accel": record.accel.mean(axis=1)},
               "run", manifest.checksum(),
               extra_comments=(f"ground_energy_au: {record.ground_energy:.12f}",
-                              f"n_c: {record.n_c}"))
-    write_map(accel_bin, record.times, np.arange(record.n_c, dtype=float),
+                              f"n_c: {cfg.n_c}"))
+    write_map(accel_bin, record.times, np.arange(cfg.n_c, dtype=float),
               record.accel, "t", "config")
     snap_dir = out / "snapshots"
     snap_dir.mkdir(exist_ok=True)
-    for i in range(record.n_c):
+    for i in range(cfg.n_c):
         paths.append(snap_dir / f"config_{i:04d}.bin")
         write_wavefunctions(paths[-1], cfg.x_min, cfg.x_max,
                             record.snapshot_times, record.snapshots[:, i, :])
     # only what this run wrote: --out may hold files of an earlier run
     _finish(manifest, sorted(paths))
-    print(f"ensemble of {record.n_c} configurations stored in {out}")
+    print(f"ensemble of {cfg.n_c} configurations stored in {out}")
     return 0
 
 
@@ -269,13 +273,13 @@ def cmd_purity(args) -> int:
     cfg = run.cfg
     window = (cfg.laser.n_up * cfg.laser.period, cfg.laser.duration)
     times, snaps = run.snapshots(window)
-    t_axis, p_tot, p_ph = purity_series(times, snaps, run.grid, cfg.mask)
+    p_tot, p_ph = purity_series(snaps, run.grid, cfg.mask)
     run.verify(*snaps.paths, digests=snaps.digests())
     # both fits before either file: a failed fit writes nothing
-    fits = [fit_purity_decay(t_axis, series, window)
+    fits = [fit_purity_decay(times, series, window)
             for series in (p_tot, p_ph)]
     path = run.path("purity.csv")
-    write_csv(path, {"t": t_axis, "purity_total": p_tot,
+    write_csv(path, {"t": times, "purity_total": p_tot,
                      "purity_photoelectron": p_ph},
               "purity", run.manifest.checksum())
     for which, fit in zip(("total", "photoelectron"), fits):
@@ -355,11 +359,15 @@ def cmd_sfa(args) -> int:
         raise ConfigError(f"--launches must be >= 1, got {args.launches}")
     cfg, out, manifest = _start(args)
     laser = cfg.laser
-    emax, paths = [], []
     launches = np.linspace(0.0, laser.period, args.launches, endpoint=False)
-    for ell in ells:
-        returns = [find_returns(t_i, ell, laser, horizon=args.horizon)
-                   for t_i in launches]
+    # every return before any file: a failed search writes nothing
+    found = [[find_returns(t_i, ell, laser, horizon=args.horizon)
+              for t_i in launches] for ell in ells]
+    emax = [max_return_energy(ell, laser, horizon=args.horizon,
+                              n_launch=args.launches) for ell in ells]
+    _begin(manifest)
+    paths = []
+    for ell, returns in zip(ells, found):
         t_r, e_r, side = map(np.concatenate, zip(*returns))
         t_i = np.repeat(launches, [r[0].size for r in returns])
         path = out / f"sfa_returns_ell{ell:g}.csv"
@@ -368,8 +376,6 @@ def cmd_sfa(args) -> int:
                   "sfa", manifest.checksum(),
                   extra_comments=(f"ell_au: {ell}",))
         paths.append(path)
-        emax.append(max_return_energy(ell, laser, horizon=args.horizon,
-                                      n_launch=args.launches))
     epath = out / "sfa_emax.csv"
     write_csv(epath, {"ell": np.array(ells), "e_max": np.array(emax)},
               "sfa", manifest.checksum())
@@ -404,6 +410,7 @@ def cmd_orbits(args) -> int:
               f"{orbit.z_star[1]:.6f}), {orbit.classification}, "
               f"|tr M| = {abs(np.trace(orbit.monodromy)):.4f}")
     path = out / "orbits.txt"
+    _begin(manifest)
     path.write_text("\n".join(lines))
     _finish(manifest, [path])
     return 0
@@ -435,18 +442,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, *options, records=False):
-        """A subcommand of --records, or of --config and the named options;
-        a producing command writes to ./out unless --out is given."""
+    def add(name, fn, records=False, workers=False):
+        """A subcommand of --records, or of --config (and --workers); a
+        producing command writes to ./out unless --out is given."""
         p = sub.add_parser(name)
         if records:
             p.add_argument("--records", required=True,
                            help="directory whose manifest lists the inputs")
         else:
             p.add_argument("--config", help="configuration file")
-        if "seed" in options:
-            p.add_argument("--seed", type=int, help="override master seed")
-        if "workers" in options:
+        if workers:
             p.add_argument("--workers", type=int, default=1,
                            help="worker processes")
         p.add_argument("--out", default=None if records else "out",
@@ -455,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("ground-state", cmd_ground_state)
-    add("sample-env", cmd_sample_env, "seed")
-    add("run", cmd_run, "seed", "workers")
+    add("sample-env", cmd_sample_env)
+    add("run", cmd_run, workers=True)
 
     p = add("spectrum", cmd_spectrum, records=True)
     p.add_argument("--member", type=int, help="single configuration index")

@@ -3,8 +3,9 @@ Run configuration: a line-oriented `key = value` format with sections,
 resolved into `RunConfig` (defined in `ensemble`), whose every default is
 the reference value (a = 10, σ = 1, A_E = 0.8, σ_E = 0.5, N_c = 10³,
 softening 0.4837, ω_L = 0.044, F_L = 0.15, 2-11-2 envelope, mask radius 5,
-Gabor window 0.35 T_L).  Where the run writes and how many worker
-processes it uses are command-line options, not configuration.
+Gabor window 0.35 T_L).  Each value has one way in: where the run writes
+and how many worker processes it uses are command-line options only, and
+no option overrides a configuration value such as `master_seed`.
 
 The laser section accepts either (omega | wavelength_nm) and either
 (F_L | intensity_wcm2); whichever is given is converted at parse time and
@@ -65,7 +66,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
         "n": ("n_grid", int),
         "dt": ("dt", _finite),
         "record_stride": ("record_stride", int),
-        "absorber_band": ("absorber_band", _finite),
     },
     "ensemble": {
         "n_c": ("n_c", int),

@@ -25,9 +25,9 @@ from .model import (AtomParams, EnvironmentConfig, LaserParams,
                     PerturberParams, gradient_atom, gradient_env,
                     potential_atom, potential_env)
 from .sampler import StructureParams, sample_ensemble
-from .tdse import (Grid, PropagationFailure, PropagationRecord,
-                   PropagatorPlan, absorber_mask, check_ground_state_depth,
-                   ground_state, propagate)
+from .tdse import (ABSORBER_BAND, Grid, PropagationFailure,
+                   PropagationRecord, PropagatorPlan, absorber_mask,
+                   check_ground_state_depth, ground_state, propagate)
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,6 @@ class RunConfig:
     n_grid: int = 8192
     dt: float = 0.02
     record_stride: int = 4
-    absorber_band: float = 0.1
     mask: MaskSpec = MaskSpec()
     gabor_window_cycles: float = 0.35
 
@@ -90,7 +89,15 @@ class RunConfig:
         if not 0 < self.gabor_window_cycles < np.inf:
             raise ValueError(f"gabor_window_cycles must be finite and > 0, "
                              f"got {self.gabor_window_cycles}")
-        absorber_mask(self.grid(), self.absorber_band)  # raises if unusable
+        grid = self.grid()      # raises for n < 2 or x_max <= x_min
+        # the photoelectron mask must reach 1 before the absorber starts
+        ramp_end = self.mask.r0 + 0.5 * self.mask.width
+        band = min(grid.x_max, -grid.x_min) \
+            - ABSORBER_BAND * (grid.x_max - grid.x_min)
+        if ramp_end >= band:
+            raise ValueError(f"mask_radius {self.mask.r0!r}: the mask ramp "
+                             f"ends at |x| = {ramp_end:g}, in the absorber "
+                             f"band, which starts at |x| = {band:g}")
         try:
             check_ground_state_depth(float(potential_atom(0.0, self.atom)))
         except ValueError as exc:
@@ -115,10 +122,6 @@ class EnsembleRecord(PropagationRecord):
     configs: list[EnvironmentConfig]
     ground_energy: float
 
-    @property
-    def n_c(self) -> int:
-        return len(self.configs)
-
 
 def _propagate_block(cfg: RunConfig, configs: list[EnvironmentConfig],
                      psi0: np.ndarray, first_index: int) -> PropagationRecord:
@@ -130,7 +133,7 @@ def _propagate_block(cfg: RunConfig, configs: list[EnvironmentConfig],
     g_static = np.stack([gradient_atom(x, cfg.atom)
                          + gradient_env(x, c, cfg.perturber) for c in configs])
     plan = PropagatorPlan(grid, cfg.dt, v_static, cfg.laser,
-                          mask=absorber_mask(grid, cfg.absorber_band))
+                          mask=absorber_mask(grid))
     batch = np.tile(psi0, (len(configs), 1))
     try:
         return propagate(batch, plan, 0.0, cfg.laser.duration, g_static,
@@ -237,22 +240,21 @@ def purity(probe: np.ndarray, dx: float,
     return p_total, _purity_of(add_gram(g_in, ramp, True, in_place=True))
 
 
-def purity_series(times: np.ndarray, snapshots: np.ndarray, grid: Grid,
-                  mask: MaskSpec | None = None) -> tuple[np.ndarray, np.ndarray,
-                                                         np.ndarray]:
+def purity_series(snapshots: np.ndarray, grid: Grid,
+                  mask: MaskSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Purity at each snapshot time, for the full state and the masked state.
 
     `snapshots` is an (n_s, n_c, n) array or any sequence of n_s (n_c, n)
-    probes, aligned with `times`; probe k is taken once, for k = 0, 1, …,
-    in order, and reduced to both purities by one `purity` call.  Returns
-    (times, P_total, P_masked); without a mask the two series are equal.
+    probes; probe k is taken once, for k = 0, 1, …, in order, and reduced
+    to both purities by one `purity` call.  Returns (P_total, P_masked);
+    without a mask the two series are equal.
     """
     mvals = mask.values(grid.x) if mask is not None else None
-    p_tot = np.empty(times.size)
-    p_ph = np.empty(times.size)
-    for k in range(times.size):
+    p_tot = np.empty(len(snapshots))
+    p_ph = np.empty(len(snapshots))
+    for k in range(len(snapshots)):
         p_tot[k], p_ph[k] = purity(snapshots[k], grid.dx, mvals)
-    return times, p_tot, p_ph
+    return p_tot, p_ph
 
 
 @dataclass

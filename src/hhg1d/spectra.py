@@ -40,7 +40,6 @@ class GaborMap:
     taus: np.ndarray
     omegas: np.ndarray
     values: np.ndarray     # (n_tau, n_omega), ≥ 0
-    t_w: float
 
 
 @dataclass
@@ -124,7 +123,7 @@ def gabor(times: np.ndarray, d: np.ndarray, t_w: float,
                         d[idx] * gabor_window(taus[:, None] - times[idx], t_w),
                         0.0)
     values = np.abs(segments @ np.exp(-1j * dt * np.outer(m, omegas))) * dt
-    return GaborMap(taus=taus, omegas=omegas, values=values, t_w=t_w)
+    return GaborMap(taus=taus, omegas=omegas, values=values)
 
 
 def harmonic_peaks(spec: Spectrum, orders) -> np.ndarray:

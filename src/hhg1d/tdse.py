@@ -89,11 +89,14 @@ def overlap(psi_a: np.ndarray, psi_b: np.ndarray, dx: float):
     return np.sum(np.conj(psi_a) * psi_b, axis=-1) * dx
 
 
-def absorber_mask(grid: Grid, band_fraction: float = 0.1) -> np.ndarray:
-    """Real mask, 1 in the interior, cos^(1/8) decay to 0 over each edge band."""
-    if not 0.0 < band_fraction < 0.5:
-        raise ValueError("band_fraction must lie in (0, 0.5)")
-    width = band_fraction * (grid.x_max - grid.x_min)
+# width of each edge band of the absorber, as a fraction of the box
+ABSORBER_BAND = 0.1
+
+
+def absorber_mask(grid: Grid) -> np.ndarray:
+    """Real mask, 1 in the interior, cos^(1/8) decay to 0 over each edge band
+    of ABSORBER_BAND times the box width."""
+    width = ABSORBER_BAND * (grid.x_max - grid.x_min)
     left, right = grid.x_min + width, grid.x_max - width
     mask = np.ones(grid.n)
     s = np.where(grid.x < left, (left - grid.x) / width, 0.0)

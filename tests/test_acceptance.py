@@ -151,17 +151,16 @@ def test_criterion_04_liquid_suppression(gas_spectrum, liquid64):
 
 def test_criterion_05_purity(liquid_single, liquid64):
     # single configuration: exactly pure at every probe
-    _, p1_tot, p1_ph = purity_series(
-        liquid_single.snapshot_times, liquid_single.snapshots,
-        liquid_spec(1).grid(), MaskSpec())
+    p1_tot, p1_ph = purity_series(liquid_single.snapshots,
+                                  liquid_spec(1).grid(), MaskSpec())
     ok_single = np.all(np.abs(p1_tot - 1.0) < 1e-12) \
         and np.all(np.abs(p1_ph - 1.0) < 1e-12)
     report("05a single-configuration purity", ok_single,
            f"max |P-1| = {np.abs(p1_tot - 1).max():.2e} (require < 1e-12)")
 
-    times, _, p_ph = purity_series(liquid64.snapshot_times,
-                                   liquid64.snapshots,
-                                   liquid_spec(64).grid(), MaskSpec())
+    times = liquid64.snapshot_times
+    _, p_ph = purity_series(liquid64.snapshots, liquid_spec(64).grid(),
+                            MaskSpec())
     ok_bound = np.all(p_ph <= 1.0 + 1e-9)
     report("05b masked purity bounded", ok_bound,
            f"max P_ph = {p_ph.max():.6f} (require <= 1)")

@@ -11,8 +11,9 @@ import pytest
 
 from hhg1d.cli import main
 from hhg1d.config import RunConfig, parse_config
-from hhg1d.ensemble import purity_series
+from hhg1d.ensemble import PropagationFailure, purity_series
 from hhg1d.sampler import load_configurations
+from hhg1d.semiclassics import OrbitError
 from hhg1d.storage import (MalformedRecordError, Manifest, SnapshotSet,
                            read_csv, read_map, read_wavefunctions, write_map,
                            write_wavefunctions)
@@ -77,10 +78,8 @@ BAD_INPUTS = {
     "config_record_stride_past_pulse": ["run", "--config",
                                         "{cfg_record_stride_10000}"],
     "config_pulse_0": ["run", "--config", "{cfg_pulse_0}"],
-    "config_absorber_band_wide": ["run", "--config",
-                                  "{cfg_absorber_band_wide}"],
-    "config_absorber_band_nan": ["run", "--config",
-                                 "{cfg_absorber_band_nan}"],
+    "config_mask_outside_grid": ["run", "--config",
+                                 "{cfg_mask_radius_500}"],
     "config_omega_inf": ["run", "--config", "{cfg_omega_inf}"],
     "config_omega_nan": ["run", "--config", "{cfg_omega_nan}"],
     "config_F_L_nan": ["run", "--config", "{cfg_F_L_nan}"],
@@ -144,9 +143,6 @@ BAD_INPUTS = {
                                        "{records}", "--bin-width", "inf"],
     "run_n_c_0": ["run", "--config", "{cfg_n_c_0}"],
     "sample_env_n_c_0": ["sample-env", "--config", "{cfg_n_c_0}"],
-    "run_seed_negative": ["run", "--config", "{cfg}", "--seed", "-1"],
-    "sample_env_seed_negative": ["sample-env", "--config", "{cfg}",
-                                 "--seed", "-1"],
     "config_master_seed_negative": ["run", "--config",
                                     "{cfg_master_seed_-1}"],
     "config_gabor_window_cycles_0": ["run", "--config",
@@ -171,8 +167,8 @@ BAD_CONFIGS = {
     "cfg_record_stride_10000": ("grid", {"record_stride": "10000"}),
     # no up, plateau or down cycle
     "cfg_pulse_0": ("laser", {"n_up": "0", "n_plateau": "0", "n_down": "0"}),
-    "cfg_absorber_band_wide": ("grid", {"absorber_band": "0.6"}),
-    "cfg_absorber_band_nan": ("grid", {"absorber_band": "nan"}),
+    # the tiny grid's absorber starts at |x| = 64
+    "cfg_mask_radius_500": ("environment", {"mask_radius": "500"}),
     "cfg_omega_inf": ("laser", {"omega": "inf"}),
     "cfg_omega_nan": ("laser", {"omega": "nan"}),
     "cfg_F_L_nan": ("laser", {"F_L": "nan"}),
@@ -315,6 +311,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["ground-state", "--workers", "2"],
         ["sample-env", "--workers", "2"],
+        ["run", "--seed", "3"],
+        ["sample-env", "--seed", "3"],
         ["sfa", "--seed", "3"],
         ["orbits", "--workers", "2"],
         ["pair-correlation", "--records", "{records}", "--env",
@@ -614,9 +612,9 @@ class TestRecordChecks:
     def test_unlisted_accel_is_3(self, command, records, tiny_records,
                                  tmp_path, capsys):
         # sample-env replaces the run's manifest with one that lists only
-        # its own environment.txt; the seed-13 map is still in the directory
+        # its own environment.txt; the run's map is still in the directory
         assert main(["sample-env", "--config", str(tiny_records / "tiny.cfg"),
-                     "--out", str(records), "--seed", "5"]) == 0
+                     "--out", str(records)]) == 0
         assert (records / "accel_configs.bin").exists()
         err = self.refused_with_3(command, records, tmp_path, capsys)
         assert err.startswith(f"missing artifact: no accel_configs.bin in "
@@ -750,25 +748,26 @@ class TestPipeline:
         assert main(["run", "--config", str(tiny_config),
                      "--out", str(out)]) == 0
         assert main(["spectrum", "--records", str(out)]) == 0
-        assert main(["run", "--config", str(tiny_config), "--out", str(out),
-                     "--seed", "14"]) == 0
+        seed14 = tmp_path / "seed14.cfg"
+        seed14.write_text(tiny_config_with("ensemble", {"master_seed": "14"}))
+        assert main(["run", "--config", str(seed14), "--out", str(out)]) == 0
         outputs = json.loads((out / "manifest.json").read_text())["outputs"]
         assert (out / "spectrum_mean.csv").exists()
         assert sorted(outputs) == [
-            "accel_configs.bin", "config.txt", "environment.txt",
-            "mean_series.csv", "snapshots/config_0000.bin",
-            "snapshots/config_0001.bin"]
+            "accel_configs.bin", "environment.txt", "mean_series.csv",
+            "snapshots/config_0000.bin", "snapshots/config_0001.bin"]
 
     def test_rerun_reads_only_its_own_snapshots(self, tiny_config, tmp_path):
         # three configurations, then two of another seed into the same
         # --out: config_0002.bin is left over and must not be read
-        three = tmp_path / "three.cfg"
+        three, seed9 = tmp_path / "three.cfg", tmp_path / "seed9.cfg"
         three.write_text(tiny_config_with("ensemble", {"n_c": "3"}))
+        seed9.write_text(tiny_config_with("ensemble", {"master_seed": "9"}))
         reused, clean = tmp_path / "reused", tmp_path / "clean"
         assert main(["run", "--config", str(three), "--out", str(reused)]) == 0
         for out in (reused, clean):
-            assert main(["run", "--config", str(tiny_config), "--out",
-                         str(out), "--seed", "9"]) == 0
+            assert main(["run", "--config", str(seed9), "--out",
+                         str(out)]) == 0
         assert (reused / "snapshots" / "config_0002.bin").exists()
         products = {}
         for out in (reused, clean):
@@ -792,10 +791,12 @@ class TestPipeline:
         # a total purity that falls near-linearly far below 1 stops the fit
         # at its evaluation cap; the photoelectron fit still converges
         real = purity_series
+        t = read_wavefunctions(tiny_records / "records" / "snapshots"
+                               / "config_0000.bin")[2]
 
         def near_linear_total(*args):
-            t, _, p_ph = real(*args)
-            return t, 0.46 - 1e-5 * t, p_ph
+            _, p_ph = real(*args)
+            return 0.46 - 1e-5 * t, p_ph
 
         monkeypatch.setattr("hhg1d.cli.purity_series", near_linear_total)
         capsys.readouterr()
@@ -831,6 +832,74 @@ class TestPipeline:
         assert times.size >= 2
 
 
+class TestRewrite:
+    """A producing command deletes the manifest in its --out just before
+    its first write, not before it computes."""
+
+    @pytest.fixture
+    def records(self, tiny_config, tmp_path):
+        out = tmp_path / "rec"
+        assert main(["run", "--config", str(tiny_config),
+                     "--out", str(out)]) == 0
+        return out
+
+    @pytest.fixture
+    def seed14(self, tmp_path):
+        path = tmp_path / "seed14.cfg"
+        path.write_text(tiny_config_with("ensemble", {"master_seed": "14"}))
+        return path
+
+    def test_death_while_writing_leaves_no_manifest(self, records, seed14,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        # the second snapshot write of a seed-14 run dies: config_0000.bin
+        # is of seed 14 and config_0001.bin still of seed 13
+        real, written = write_wavefunctions, []
+
+        def dies_at_second(path, *args):
+            if written:
+                raise KeyboardInterrupt
+            written.append(path)
+            real(path, *args)
+
+        monkeypatch.setattr("hhg1d.cli.write_wavefunctions", dies_at_second)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", str(seed14), "--out", str(records)])
+        assert written == [records / "snapshots" / "config_0000.bin"]
+        for command in ("purity", "density-map", "spectrum",
+                        "pair-correlation"):
+            capsys.readouterr()
+            assert main([command, "--records", str(records),
+                         "--out", str(tmp_path / "out")]) == 3
+            assert capsys.readouterr().err == (
+                f"missing artifact: missing manifest: "
+                f"{records / 'manifest.json'}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, name, error", [
+        (["run", "--config", "{seed14}"], "run_ensemble",
+         PropagationFailure(1, 7)),
+        (["orbits", "--anchors", "2.0"], "find_periodic_orbit",
+         OrbitError("no convergence", residual=1.0)),
+    ], ids=["run", "orbits"])
+    def test_failure_before_writing_keeps_records(self, argv, name, error,
+                                                  records, seed14, tmp_path,
+                                                  monkeypatch, capsys):
+        before = tree_digest(records, skip=())
+
+        def fails(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(f"hhg1d.cli.{name}", fails)
+        argv = [a.format(seed14=seed14) for a in argv]
+        assert main(argv + ["--out", str(records)]) == 4
+        assert tree_digest(records, skip=()) == before
+        capsys.readouterr()
+        assert main(["purity", "--records", str(records),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical_any_worker_count(self, tiny_config,
                                                        tmp_path):
@@ -841,11 +910,12 @@ class TestDeterminism:
                      "--workers", "2"]) == 0
         assert tree_digest(out1) == tree_digest(out2)
 
-    def test_seed_override_changes_outputs(self, tiny_config, tmp_path):
+    def test_master_seed_changes_outputs(self, tiny_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
+        seed14 = tmp_path / "seed14.cfg"
+        seed14.write_text(tiny_config_with("ensemble", {"master_seed": "14"}))
         main(["run", "--config", str(tiny_config), "--out", str(out1)])
-        main(["run", "--config", str(tiny_config), "--out", str(out2),
-              "--seed", "14"])
+        main(["run", "--config", str(seed14), "--out", str(out2)])
         d1, d2 = tree_digest(out1), tree_digest(out2)
         assert d1 != d2
 

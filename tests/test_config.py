@@ -28,7 +28,6 @@ x_max = 400.0
 n = 8192
 dt = 0.02
 record_stride = 4
-absorber_band = 0.1
 [ensemble]
 n_c = 1000
 master_seed = 1
@@ -112,6 +111,23 @@ class TestParsing:
     def test_run_config_refuses_gabor_window(self, value):
         with pytest.raises(ValueError, match="gabor_window_cycles"):
             RunConfig(gabor_window_cycles=value)
+
+    # the absorber's inner edge nearest the origin lies at |x| = 64 in each
+    # box, and the ramp of a mask of width 2 ends at r0 + 1
+    @pytest.mark.parametrize("grid", ["x_min = -80\nx_max = 80",
+                                      "x_min = -84\nx_max = 116",
+                                      "x_min = -116\nx_max = 84"],
+                             ids=["centred", "left_edge", "right_edge"])
+    def test_mask_must_end_before_the_absorber(self, grid):
+        text = f"[grid]\n{grid}\nn = 256\ndt = 0.1\n[environment]\n"
+        with pytest.raises(ConfigError, match=r"^mask_radius 63\.0: .* "
+                                              r"\|x\| = 64, .* \|x\| = 64$"):
+            parse_config(text + "mask_radius = 63\n")
+        parse_config(text + "mask_radius = 62.9\n")
+
+    def test_absorber_band_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown key 'absorber_band'"):
+            parse_config("[grid]\nabsorber_band = 0.1\n")
 
     def test_wavelength_alternative(self):
         cfg = parse_config("[laser]\nwavelength_nm = 1030\n")

@@ -253,7 +253,7 @@ class TestRunEnsemble:
                      "snapshots"):
             np.testing.assert_array_equal(getattr(serial, name),
                                           getattr(parallel, name))
-        assert parallel.n_c == n_c
+        assert len(parallel.configs) == n_c
         for a, b in zip(serial.configs, parallel.configs):
             np.testing.assert_array_equal(a.positions, b.positions)
 
@@ -386,15 +386,13 @@ class TestPuritySeries:
     def test_gas_phase_stays_pure(self):
         spec = RunConfig(n_c=3, perturber=PerturberParams(A_E=0.0), **TINY)
         rec = run_ensemble(spec)
-        _, p_tot, _ = purity_series(rec.snapshot_times, rec.snapshots,
-                                    spec.grid())
+        p_tot, _ = purity_series(rec.snapshots, spec.grid())
         np.testing.assert_allclose(p_tot, 1.0, atol=1e-9)
 
     def test_liquid_purity_bounded(self):
         spec = RunConfig(n_c=3, **TINY)
         rec = run_ensemble(spec)
-        _, p_tot, p_ph = purity_series(rec.snapshot_times, rec.snapshots,
-                                       spec.grid(), MaskSpec())
+        p_tot, p_ph = purity_series(rec.snapshots, spec.grid(), MaskSpec())
         assert np.all(p_tot <= 1.0 + 1e-9)
         assert np.all(p_ph <= 1.0 + 1e-9)
         assert np.all(p_tot >= 1.0 / 3 - 1e-9)

@@ -3,9 +3,11 @@ the arguments the demos and the quickstart pass to them.
 
 Nothing runs the demos in the test suite, so a removed export or keyword
 would break them silently; this parses their source instead of running it.
-The last tests pin which modules `import hhg1d.cli` leaves unloaded.
+Two tests pin which modules `import hhg1d.cli` leaves unloaded, and the
+last one pins README's option table to the parser.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -103,3 +105,26 @@ def test_cli_start_up_loads_no_process_pool():
     # loaded only by a run with more than one block of configurations
     assert _loaded_by_cli_import(["concurrent.futures.process",
                                   "multiprocessing"]) == []
+
+
+def _parser_options() -> dict[str, set[str]]:
+    """Subcommand -> its option strings, apart from --out and -h/--help."""
+    from hhg1d.cli import build_parser
+
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for action in p._actions
+                   for opt in action.option_strings} - {"--out", "-h",
+                                                        "--help"}
+            for name, p in sub.choices.items()}
+
+
+def test_readme_option_table_matches_parser():
+    # a row `| `command` | `--option`, ... |` for every subcommand, listing
+    # exactly its options: a removed option cannot linger in the docs
+    readme = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.M)
+    table = {name: set(re.findall(r"`(--[a-z-]+)`", options))
+             for name, options in rows}
+    assert len(table) == len(rows)
+    assert table == _parser_options()

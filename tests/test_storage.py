@@ -181,8 +181,8 @@ class TestSnapshotSet:
         times = np.linspace(0.0, 4.0, 6)
         files, states = write_snapshot_set(tmp_path, 7, times, 32, seed=1)
         grid, mask = Grid(-10.0, 10.0, 32), MaskSpec(r0=3.0, width=2.0)
-        lazy = purity_series(times, SnapshotSet(files), grid, mask)
-        eager = purity_series(times, states, grid, mask)
+        lazy = purity_series(SnapshotSet(files), grid, mask)
+        eager = purity_series(states, grid, mask)
         for a, b in zip(lazy, eager):
             assert a.tobytes() == b.tobytes()
 

@@ -237,20 +237,20 @@ class TestUnitarityAndReversal:
 class TestAbsorber:
     def test_interior_untouched(self):
         g = Grid(-100.0, 100.0, 512)
-        mask = absorber_mask(g, 0.1)
+        mask = absorber_mask(g)
         assert np.all(mask[np.abs(g.x) <= 80.0] == 1.0)
         psi = gaussian_packet(g, 0.0, 5.0)
         np.testing.assert_allclose(psi * mask, psi, atol=1e-14)
 
     def test_edge_packet_damped(self):
         g = Grid(-100.0, 100.0, 512)
-        mask = absorber_mask(g, 0.1)
+        mask = absorber_mask(g)
         psi = gaussian_packet(g, 95.0, 2.0)
         assert state_norm(psi * mask, g.dx) < state_norm(psi, g.dx)
 
     def test_band_follows_cos_eighth_root(self):
         g = Grid(-100.0, 100.0, 512)
-        mask = absorber_mask(g, 0.1)
+        mask = absorber_mask(g)
         s = (np.abs(g.x) - 80.0) / 20.0
         band = (s > 0) & (s < 1)
         assert band.sum() > 50
@@ -269,7 +269,7 @@ class TestAbsorber:
         g = Grid(-100.0, 100.0, 512)
         v = potential_atom(g.x, atom)
         plan = PropagatorPlan(g, 0.05, np.stack([v, 0.5 * v]),
-                              reduced_laser, mask=absorber_mask(g, 0.1))
+                              reduced_laser, mask=absorber_mask(g))
         psi0 = np.stack([gaussian_packet(g, 85.0, 3.0, k0=1.0),
                          gaussian_packet(g, -88.0, 2.0, k0=-0.5)])
         t0 = 2 * reduced_laser.period
@@ -283,7 +283,7 @@ class TestAbsorber:
 
     def test_mask_shape(self):
         g = Grid(-100.0, 100.0, 1024)
-        mask = absorber_mask(g, 0.1)
+        mask = absorber_mask(g)
         assert mask.max() == 1.0
         assert mask[0] < 1e-6
         assert np.all(mask >= 0.0) and np.all(mask <= 1.0)
