@@ -203,39 +203,52 @@ class BackscatterTrajectory:
         return t_r, 0.5 * self.momentum(t_r) ** 2
 
 
-def _drift_kick(z0, t0: float, t1: float, laser: LaserParams,
-                atom: AtomParams | None,
-                tangent: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Equal drift-kick steps of at most FLOW_STEP from z0 at t0 to t1.
+def _flow_steps(t0: float, t1: float,
+                laser: LaserParams) -> tuple[float, list[float]]:
+    """Equal steps of at most FLOW_STEP from t0 to t1: the step h and the
+    field F_L sin(ωt) at every kick time t + c_j h, step-major.
 
-    Each step is a first drift a_0 h, then six (b_j h, c_j h, a_{j+1} h)
-    triples: a kick of weight b_j h at the time t + c_j h, followed by a
-    drift a_{j+1} h.  With `tangent` the variational equations of the same
-    composition (drift: δx += a h δp; kick: δp -= b h V''(x) δx) carry the
-    tangent map M along, so M is the exact Jacobian of the discrete flow
-    map; without it M stays the identity.  Returns (z(t1), M).
+    The kick times go through the operations of a per-kick evaluation,
+    (t0 + k h) + c_j h, then ω t, then F_L sin, so the table equals
+    `f * math.sin(w * (t + c))` bit for bit; one `np.sin` call fills it.
     """
     span = t1 - t0
     n = max(1, int(np.ceil(abs(span) / FLOW_STEP))) if span else 0
     h = span / max(n, 1)
+    t = (t0 + np.arange(n) * h)[:, None] + KICK_TIMES * h
+    return h, (laser.F_L * np.sin(laser.omega_L * t)).ravel().tolist()
+
+
+def _drift_kick(z0, steps: tuple[float, list[float]],
+                atom: AtomParams | None,
+                tangent: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The drift-kick composition from z0 over the steps of `_flow_steps`.
+
+    Each step is a first drift a_0 h, then six (b_j h, c_j h, a_{j+1} h)
+    triples: a kick of weight b_j h at the time t + c_j h, followed by a
+    drift a_{j+1} h.  The field at each kick time comes from the table in
+    `steps`, in order; the soft-core force is added at the kick.  With
+    `tangent` the variational equations of the same composition (drift:
+    δx += a h δp; kick: δp -= b h V''(x) δx) carry the tangent map M
+    along, so M is the exact Jacobian of the discrete flow map; without it
+    M stays the identity.  Returns (z(t1), M).
+    """
+    h, field = steps
     x, p = float(z0[0]), float(z0[1])
     m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-    w, f = laser.omega_L, laser.F_L
     alpha = atom.softening if atom is not None else None
-    sin = math.sin
     # python floats, and the stage coefficients as one tuple per kick: the
     # scalar loop runs faster on them than on numpy's or on indexed lists
     a0, *a_rest = (DRIFT_COEFFS * h).tolist()
-    stages = tuple(zip((KICK_COEFFS * h).tolist(),
-                       (KICK_TIMES * h).tolist(), a_rest))
-    for k in range(n):
-        t = t0 + k * h
+    stages = tuple(zip((KICK_COEFFS * h).tolist(), a_rest))
+    forces = iter(field)
+    for _ in range(len(field) // len(stages)):
         x += a0 * p
         if tangent:
             m00 += a0 * m10
             m01 += a0 * m11
-        for b, c, a in stages:
-            force = f * sin(w * (t + c))
+        for b, a in stages:
+            force = next(forces)
             if alpha is not None:
                 r2 = x * x + alpha
                 force += x * r2**-1.5
@@ -259,7 +272,8 @@ def classical_flow(z0, t0: float, t1: float, laser: LaserParams,
     kick time advances with the accumulated drift coefficients.  atom=None
     drops the soft-core force (field-only flow).
     """
-    return _drift_kick(z0, t0, t1, laser, atom, tangent=False)[0]
+    return _drift_kick(z0, _flow_steps(t0, t1, laser), atom,
+                       tangent=False)[0]
 
 
 def monodromy(z0, t0: float, laser: LaserParams,
@@ -269,7 +283,8 @@ def monodromy(z0, t0: float, laser: LaserParams,
     The tangent map M is the exact Jacobian of the discrete flow map (see
     `_drift_kick`).  Returns (z_T, M).
     """
-    return _drift_kick(z0, t0, t0 + laser.period, laser, atom, tangent=True)
+    return _drift_kick(z0, _flow_steps(t0, t0 + laser.period, laser), atom,
+                       tangent=True)
 
 
 def classify(m: np.ndarray) -> str:
@@ -297,44 +312,51 @@ def _reversible_presearch(z, t0: float, laser: LaserParams,
     phase with p = 0 and doing so again half a period later closes exactly.
     That reduces the search to a scalar root x* of
     g(x) = p[φ over T_L/2 from (x, 0)], solved by bracketing + bisection
-    near the guess, and leaves only a polishing step for Newton.
+    near the guess, and leaves only a polishing step for Newton.  Every
+    g(x) flows over the same half period, so one field table serves them
+    all.  The cells of a 17-point scan are visited in order of their
+    midpoints' distance from the guess, the lower cell first on a tie, and
+    the first that changes sign is bisected; each scan point is evaluated
+    once at most, and only as far out as that cell.
     """
     T = laser.period
     w = laser.omega_L
     k = math.ceil((w * t0 - 0.5 * math.pi) / math.pi)
     t_star = (0.5 * math.pi + k * math.pi) / w
     x0 = float(classical_flow(z, t0, t_star, laser, atom)[0])
+    half = _flow_steps(t_star, t_star + 0.5 * T, laser)
 
     def g(x):
-        return float(classical_flow((x, 0.0), t_star, t_star + 0.5 * T, laser,
-                                    atom)[1])
+        return float(_drift_kick((x, 0.0), half, atom, tangent=False)[0][1])
 
-    root = None
     for half_width in (5.0, 10.0, 20.0, 40.0):
         xs = np.linspace(x0 - half_width, x0 + half_width, 17)
-        vals = np.array([g(x) for x in xs])
-        flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-        if flips.size:
-            # take the bracket closest to the guess
-            i = flips[np.argmin(np.abs(0.5 * (xs[flips] + xs[flips + 1]) - x0))]
-            lo, hi, g_lo = xs[i], xs[i + 1], vals[i]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    # floating-point fixed point: mid is lo or hi, and a
-                    # further step could at most collapse the bracket onto
-                    # mid, which is already the root returned below
-                    break
-                g_mid = g(mid)
-                if g_lo * g_mid <= 0.0:
-                    hi = mid
-                else:
-                    lo, g_lo = mid, g_mid
-            root = 0.5 * (lo + hi)
-            break
-    if root is None:
-        return np.asarray(z, dtype=float)
-    return classical_flow((root, 0.0), t_star, t0, laser, atom)
+        vals = {}
+        for i in np.argsort(np.abs(0.5 * (xs[:-1] + xs[1:]) - x0),
+                            kind="stable"):
+            for j in (i, i + 1):
+                if j not in vals:
+                    vals[j] = g(xs[j])
+            if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
+                break
+        else:
+            continue        # no sign change at this width: widen
+        lo, hi, g_lo = xs[i], xs[i + 1], vals[i]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                # floating-point fixed point: mid is lo or hi, and a
+                # further step could at most collapse the bracket onto
+                # mid, which is already the root returned below
+                break
+            g_mid = g(mid)
+            if g_lo * g_mid <= 0.0:
+                hi = mid
+            else:
+                lo, g_lo = mid, g_mid
+        return classical_flow((0.5 * (lo + hi), 0.0), t_star, t0, laser,
+                              atom)
+    return np.asarray(z, dtype=float)
 
 
 def find_periodic_orbit(guess, t0: float, laser: LaserParams,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
+import os
 import struct
 import time
 from collections.abc import Sequence
@@ -192,11 +193,11 @@ class SnapshotSet(Sequence):
 
     Opening the set checks that every file has the size of the first, a
     whole number of its records, and at least one.  Reading a probe takes
-    record k of each file with positional reads, its header into a row of
-    one header array and its amplitudes straight into the probe's row.
-    Every header must repeat the first file's first one in all but the
-    time, the rule of `read_wavefunctions`, and carry the time of the
-    first file's record k.  Files are not memory-mapped, since mapped
+    record k of each file with one positional read, `os.preadv` (POSIX
+    only), its header into a row of one header array and its amplitudes
+    straight into the probe's row.  Every header must repeat the first
+    file's first one in all but the time, the rule of `read_wavefunctions`,
+    and carry the time of the first file's record k.  Files are not memory-mapped, since mapped
     pages count in the process's resident set just as read ones do.
 
     The records of a file cover all its bytes, in file order, so reading
@@ -228,9 +229,11 @@ class SnapshotSet(Sequence):
         states = np.empty((len(self.paths), self._n), dtype=complex)
         rows = states.view(np.uint8).reshape(len(self.paths), -1)
         for path, head, row in zip(self.paths, heads, rows):
-            with open(path, "rb", buffering=0) as fh:
-                fh.seek(k * self._record)
-                got = fh.readinto(head) + fh.readinto(row)
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                got = os.preadv(fd, (head, row), k * self._record)
+            finally:
+                os.close(fd)
             if got != self._record:
                 raise MalformedRecordError(f"{path}: file ends inside record "
                                            f"{k}")

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hhg1d import semiclassics
+from hhg1d.config import RunConfig
 from hhg1d.model import (AtomParams, LaserParams, ponderomotive_energy,
                          potential_atom)
 from hhg1d.semiclassics import (FLOW_STEP, ROOT_TOL, BackscatterTrajectory,
                                 OrbitError, _drift_kick, _field_only_x_float,
+                                _flow_steps, _reversible_presearch,
                                 classify, classical_flow,
                                 find_periodic_orbit,
                                 find_returns, max_return_energy, monodromy,
@@ -58,7 +61,8 @@ def returns_on_arrays(t_i, ell, horizon):
 
 def drift_kick_indexed(z0, t0, t1, laser, atom, tangent):
     """Reference flow: the composition of `_drift_kick`, with the stage
-    coefficients held in three lists indexed by stage."""
+    coefficients held in three lists indexed by stage and the field
+    evaluated by `math.sin` at each kick."""
     span = t1 - t0
     n = max(1, int(np.ceil(abs(span) / FLOW_STEP))) if span else 0
     h = span / max(n, 1)
@@ -323,7 +327,7 @@ class TestClassicalFlow:
     def test_bitwise_equal_to_indexed_loop(self, t0, t1, atom):
         z0 = np.array([2.5, -0.4])
         for tangent in (False, True):
-            got = _drift_kick(z0, t0, t1, LASER, atom, tangent)
+            got = _drift_kick(z0, _flow_steps(t0, t1, LASER), atom, tangent)
             want = drift_kick_indexed(z0, t0, t1, LASER, atom, tangent)
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         assert classical_flow(z0, t0, t1, LASER, atom).tobytes() == \
@@ -331,6 +335,70 @@ class TestClassicalFlow:
         got = monodromy(z0, t0, LASER, atom)
         want = drift_kick_indexed(z0, t0, t0 + T, LASER, atom, True)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def presearch_full_scan(z, t0, laser, atom):
+    """Reference presearch: every point of the 17-point scan evaluated,
+    the sign change nearest the guess taken among all of them, then the
+    same bisection, each g(x) a separate `classical_flow`."""
+    T = laser.period
+    w = laser.omega_L
+    k = math.ceil((w * t0 - 0.5 * math.pi) / math.pi)
+    t_star = (0.5 * math.pi + k * math.pi) / w
+    x0 = float(classical_flow(z, t0, t_star, laser, atom)[0])
+
+    def g(x):
+        return float(classical_flow((x, 0.0), t_star, t_star + 0.5 * T, laser,
+                                    atom)[1])
+
+    for half_width in (5.0, 10.0, 20.0, 40.0):
+        xs = np.linspace(x0 - half_width, x0 + half_width, 17)
+        vals = np.array([g(x) for x in xs])
+        flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+        if flips.size:
+            i = flips[np.argmin(np.abs(0.5 * (xs[flips] + xs[flips + 1]) - x0))]
+            lo, hi, g_lo = xs[i], xs[i + 1], vals[i]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                g_mid = g(mid)
+                if g_lo * g_mid <= 0.0:
+                    hi = mid
+                else:
+                    lo, g_lo = mid, g_mid
+            return classical_flow((0.5 * (lo + hi), 0.0), t_star, t0, laser,
+                                  atom)
+    return np.asarray(z, dtype=float)
+
+
+class TestPresearch:
+    @pytest.mark.parametrize("laser", [
+        LaserParams(F_L=0.075, omega_L=0.057), RunConfig().laser],
+        ids=["reduced", "default"])
+    def test_outward_scan_picks_the_full_scan_cell(self, laser):
+        for anchor in np.arange(13) * 0.25:
+            t0 = anchor * laser.period
+            z = quiver_guess(t0, laser)
+            got = _reversible_presearch(z, t0, laser, ATOM)
+            want = presearch_full_scan(z, t0, laser, ATOM)
+            assert got.tobytes() == want.tobytes(), anchor
+
+    def test_flows_per_search_at_the_reduced_point(self, monkeypatch):
+        laser = LaserParams(F_L=0.075, omega_L=0.057)
+        flows = []
+
+        def counted(*args, **kwargs):
+            flows.append(1)
+            return _drift_kick(*args, **kwargs)
+
+        monkeypatch.setattr(semiclassics, "_drift_kick", counted)
+        for anchor in (2.0, 2.5):
+            flows.clear()
+            t0 = anchor * laser.period
+            find_periodic_orbit(quiver_guess(t0, laser), t0, laser, ATOM)
+            # 4 flows outside the presearch, 5 scan points, 51 bisections
+            assert len(flows) <= 60, anchor
 
 
 class TestMonodromy:
