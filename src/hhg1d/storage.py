@@ -197,8 +197,9 @@ class SnapshotSet(Sequence):
     only), its header into a row of one header array and its amplitudes
     straight into the probe's row.  Every header must repeat the first
     file's first one in all but the time, the rule of `read_wavefunctions`,
-    and carry the time of the first file's record k.  Files are not memory-mapped, since mapped
-    pages count in the process's resident set just as read ones do.
+    and carry the time of the first file's record k.  Files are not
+    memory-mapped, since mapped pages count in the process's resident set
+    just as read ones do.
 
     The records of a file cover all its bytes, in file order, so reading
     probes 0, 1, …, n_s − 1 in turn feeds each file's SHA-256 with each

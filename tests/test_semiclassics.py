@@ -18,6 +18,7 @@ from hhg1d.semiclassics import (FLOW_STEP, ROOT_TOL, BackscatterTrajectory,
 from hhg1d.splitting import DRIFT_COEFFS, KICK_COEFFS, KICK_TIMES
 
 LASER = LaserParams(F_L=0.15, omega_L=0.044)
+REDUCED_LASER = LaserParams(F_L=0.075, omega_L=0.057)
 ATOM = AtomParams()
 T = LASER.period
 UP = ponderomotive_energy(LASER)
@@ -356,7 +357,8 @@ def presearch_full_scan(z, t0, laser, atom):
         vals = np.array([g(x) for x in xs])
         flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
         if flips.size:
-            i = flips[np.argmin(np.abs(0.5 * (xs[flips] + xs[flips + 1]) - x0))]
+            mids = 0.5 * (xs[flips] + xs[flips + 1])
+            i = flips[np.argmin(np.abs(mids - x0))]
             lo, hi, g_lo = xs[i], xs[i + 1], vals[i]
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
@@ -373,9 +375,8 @@ def presearch_full_scan(z, t0, laser, atom):
 
 
 class TestPresearch:
-    @pytest.mark.parametrize("laser", [
-        LaserParams(F_L=0.075, omega_L=0.057), RunConfig().laser],
-        ids=["reduced", "default"])
+    @pytest.mark.parametrize("laser", [REDUCED_LASER, RunConfig().laser],
+                             ids=["reduced", "default"])
     def test_outward_scan_picks_the_full_scan_cell(self, laser):
         for anchor in np.arange(13) * 0.25:
             t0 = anchor * laser.period
@@ -385,7 +386,6 @@ class TestPresearch:
             assert got.tobytes() == want.tobytes(), anchor
 
     def test_flows_per_search_at_the_reduced_point(self, monkeypatch):
-        laser = LaserParams(F_L=0.075, omega_L=0.057)
         flows = []
 
         def counted(*args, **kwargs):
@@ -395,8 +395,9 @@ class TestPresearch:
         monkeypatch.setattr(semiclassics, "_drift_kick", counted)
         for anchor in (2.0, 2.5):
             flows.clear()
-            t0 = anchor * laser.period
-            find_periodic_orbit(quiver_guess(t0, laser), t0, laser, ATOM)
+            t0 = anchor * REDUCED_LASER.period
+            find_periodic_orbit(quiver_guess(t0, REDUCED_LASER), t0,
+                                REDUCED_LASER, ATOM)
             # 4 flows outside the presearch, 5 scan points, 51 bisections
             assert len(flows) <= 60, anchor
 
