@@ -4,25 +4,25 @@ the quantum density.
 
 At the full reference field the one-period flow map of the driven soft-core
 atom has a pair of hyperbolic fixed points near the zero-drift quiver; the
-Newton search polishes them to machine residual.  A small disorder ensemble
-then shows the ensemble-averaged probability density concentrating along
-these orbits; raise N_CONFIGS (the reference uses ~10³) to sharpen the
-localization.  Expect a few minutes of runtime with the ensemble enabled.
+search bisects them on the reversing-symmetry line to machine residual.  A
+small disorder ensemble then shows the ensemble-averaged probability
+density concentrating along these orbits; raise N_CONFIGS (the reference
+uses ~10³) to sharpen the localization.  Expect a few minutes of runtime
+with the ensemble enabled.
 """
 
 import numpy as np
 
 from hhg1d import (AtomParams, LaserParams, PerturberParams, RunConfig,
                    StructureParams, find_periodic_orbit, overlay_orbit,
-                   probability_density_map, quiver_guess, run_ensemble,
-                   symmetry_partner)
+                   probability_density_map, run_ensemble, symmetry_partner)
 
 N_CONFIGS = 8           # set to 0 to skip the quantum part
 laser = LaserParams(F_L=0.15, omega_L=0.044, n_up=2, n_plateau=11, n_down=2)
 atom = AtomParams()
 T = laser.period
 
-orbit = find_periodic_orbit(quiver_guess(2 * T, laser), 2 * T, laser, atom)
+orbit = find_periodic_orbit(2 * T, laser, atom)
 partner = symmetry_partner(orbit, laser, atom)
 for name, orb in (("orbit", orbit), ("partner", partner)):
     print(f"{name}: z* = ({orb.z_star[0]:+.6f}, {orb.z_star[1]:+.6f}), "

@@ -10,8 +10,9 @@ The package couples three layers:
 * spectral analysis of the recorded dipole acceleration: harmonic spectra,
   time-frequency maps, parity and plateau statistics, purity-decay fits
   (`spectra`);
-* a classical companion: field-only recollision channels and Newton-based
-  periodic-orbit finding with stability analysis (`semiclassics`).
+* a classical companion: field-only recollision channels and periodic
+  orbits found on the reversing-symmetry line, with stability analysis
+  (`semiclassics`).
 
 Everything is expressed in Hartree atomic units; `model` holds the physical
 ingredients and the unit helpers.  The `hhg1d` command line (see `cli`)

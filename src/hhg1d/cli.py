@@ -36,7 +36,7 @@ from .model import potential_atom
 from .sampler import pair_correlation, sample_ensemble, save_configurations, \
     load_configurations
 from .semiclassics import (OrbitError, find_periodic_orbit, find_returns,
-                           max_return_energy, quiver_guess, symmetry_partner)
+                           max_return_energy, symmetry_partner)
 from .spectra import fit_purity_decay, gabor, hhg_spectrum, in_fit_window
 from .storage import (MalformedRecordError, Manifest, MissingArtifactError,
                       SnapshotSet, read_map, read_wavefunctions, write_csv,
@@ -390,8 +390,7 @@ def cmd_orbits(args) -> int:
     lines = []
     for anchor in anchors:
         t0 = anchor * cfg.laser.period
-        orbit = find_periodic_orbit(quiver_guess(t0, cfg.laser), t0,
-                                    cfg.laser, cfg.atom)
+        orbit = find_periodic_orbit(t0, cfg.laser, cfg.atom)
         partner = symmetry_partner(orbit, cfg.laser, cfg.atom)
         for name, orb in (("orbit", orbit), ("partner", partner)):
             m = orb.monodromy

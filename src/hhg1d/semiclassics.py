@@ -1,8 +1,8 @@
 """
 Classical companion of the quantum engine: field-only recollision
 trajectories and their return channels, the exact classical flow of the
-driven soft-core atom, and Newton-based periodic-orbit finding with
-linear stability.
+driven soft-core atom, and periodic orbits found on its reversing-symmetry
+line, with their linear stability.
 
 All routines here use the constant-envelope field F_L sin(ω_L t); envelope
 effects belong to the quantum engine.  Phase-space points are plain arrays
@@ -21,16 +21,14 @@ from .splitting import DRIFT_COEFFS, KICK_COEFFS, KICK_TIMES
 
 ROOT_TOL = 1e-10        # bracket width (a.u.) at which bisection stops
 FLOW_STEP = 0.01        # largest integration step (a.u.) of the exact flow
-NEWTON_TOL = 1e-10      # closure residual |φ(z) - z| of a periodic orbit
-NEWTON_MAX_ITER = 50
+CLOSURE_TOL = 1e-10     # closure residual |φ(z) - z| of a periodic orbit
 
 
 class OrbitError(RuntimeError):
-    """Newton orbit search failed; carries the last residual."""
+    """An orbit search failed; the message names its anchor time t0."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    def __init__(self, message: str, t0: float):
+        super().__init__(f"orbit at t0 = {t0:.12g} a.u.: {message}")
 
 
 @dataclass
@@ -298,26 +296,26 @@ def classify(m: np.ndarray) -> str:
 
 
 def quiver_guess(t0: float, laser: LaserParams) -> np.ndarray:
-    """Zero-drift field-only orbit point, the standard seed for the search."""
+    """Zero-drift field-only orbit point at t0, the orbit search's seed."""
     w, f = laser.omega_L, laser.F_L
-    return np.array([-(f / w**2) * np.sin(w * t0), (f / w) * np.cos(w * t0)])
+    return np.array([(f / w**2) * np.sin(w * t0), (f / w) * np.cos(w * t0)])
 
 
 def _reversible_presearch(z, t0: float, laser: LaserParams,
-                          atom: AtomParams) -> np.ndarray:
-    """Pull a far-off guess onto the reversing-symmetry line.
+                          atom: AtomParams | None) -> np.ndarray:
+    """The orbit point at t0 on the reversing-symmetry line nearest z.
 
     The field is even about its extremum phases, so with the even soft-core
     potential the flow is reversible about them: an orbit crossing such a
     phase with p = 0 and doing so again half a period later closes exactly.
     That reduces the search to a scalar root x* of
     g(x) = p[φ over T_L/2 from (x, 0)], solved by bracketing + bisection
-    near the guess, and leaves only a polishing step for Newton.  Every
-    g(x) flows over the same half period, so one field table serves them
-    all.  The cells of a 17-point scan are visited in order of their
-    midpoints' distance from the guess, the lower cell first on a tie, and
-    the first that changes sign is bisected; each scan point is evaluated
-    once at most, and only as far out as that cell.
+    near z flowed to that phase.  Every g(x) flows over the same half
+    period, so one field table serves them all.  The cells of a 17-point
+    scan are visited in order of their midpoints' distance from the guess,
+    the lower cell first on a tie, and the first that changes sign is
+    bisected; each scan point is evaluated once at most, and only as far
+    out as that cell.  No sign change out to half-width 40 is an error.
     """
     T = laser.period
     w = laser.omega_L
@@ -345,10 +343,7 @@ def _reversible_presearch(z, t0: float, laser: LaserParams,
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
-                # floating-point fixed point: mid is lo or hi, and a
-                # further step could at most collapse the bracket onto
-                # mid, which is already the root returned below
-                break
+                break       # mid is lo or hi: the bracket can shrink no more
             g_mid = g(mid)
             if g_lo * g_mid <= 0.0:
                 hi = mid
@@ -356,54 +351,28 @@ def _reversible_presearch(z, t0: float, laser: LaserParams,
                 lo, g_lo = mid, g_mid
         return classical_flow((0.5 * (lo + hi), 0.0), t_star, t0, laser,
                               atom)
-    return np.asarray(z, dtype=float)
+    raise OrbitError("no sign change of p half a period from (x, 0) "
+                     f"within x = {x0:.6g} ± 40", t0)
 
 
-def find_periodic_orbit(guess, t0: float, laser: LaserParams,
+def find_periodic_orbit(t0: float, laser: LaserParams,
                         atom: AtomParams | None) -> PeriodicOrbit:
-    """Newton search for a fixed point of the one-period flow map.
-
-    Solves (M - I) δz = -(φ(z) - z) with the monodromy M from the
-    variational equations; steps are capped and halved while they fail to
-    reduce the residual.  A guess whose image misses by more than an a.u.
-    is first pulled in along the reversing-symmetry line.  A Jacobian with
-    |det(M - I)| ≈ 0 signals a non-isolated or parabolic fixed point and is
-    reported as an error rather than solved through.
-    """
-    z = np.asarray(guess, dtype=float).copy()
-    if atom is not None:
-        g0 = classical_flow(z, t0, t0 + laser.period, laser, atom) - z
-        if np.linalg.norm(g0) > 1.0:
-            z = _reversible_presearch(z, t0, laser, atom)
-    residual = np.inf
-    for _ in range(NEWTON_MAX_ITER):
-        z_t, m = monodromy(z, t0, laser, atom)
-        g = z_t - z
-        residual = float(np.linalg.norm(g))
-        jac_det = float(np.linalg.det(m - np.eye(2)))
-        if abs(jac_det) < 1e-9:
-            raise OrbitError(
-                "singular Jacobian: fixed point is non-isolated or parabolic "
-                f"(|det(M-I)| = {abs(jac_det):.2e})", residual)
-        if residual < NEWTON_TOL:
-            return PeriodicOrbit(z_star=z, t0=t0, monodromy=m,
-                                 classification=classify(m),
-                                 residual=residual)
-        delta = np.linalg.solve(m - np.eye(2), -g)
-        cap = 0.25 * (1.0 + np.linalg.norm(z))
-        if np.linalg.norm(delta) > cap:
-            delta *= cap / np.linalg.norm(delta)
-        lam = 1.0
-        for _ in range(30):
-            z_try = z + lam * delta
-            g_try = classical_flow(z_try, t0, t0 + laser.period, laser,
-                                   atom) - z_try
-            if np.linalg.norm(g_try) < residual:
-                break
-            lam *= 0.5
-        z = z + lam * delta
-    raise OrbitError(f"Newton failed to reach {NEWTON_TOL} in "
-                     f"{NEWTON_MAX_ITER} iterations", residual)
+    """The orbit `_reversible_presearch` finds from `quiver_guess(t0)`,
+    classified and verified by one `monodromy`.  A non-isolated or
+    parabolic fixed point (|det(M - I)| < 1e-9) and a closure residual of
+    CLOSURE_TOL or more are errors."""
+    z = _reversible_presearch(quiver_guess(t0, laser), t0, laser, atom)
+    z_t, m = monodromy(z, t0, laser, atom)
+    residual = float(np.linalg.norm(z_t - z))
+    jac_det = float(np.linalg.det(m - np.eye(2)))
+    if abs(jac_det) < 1e-9:
+        raise OrbitError(
+            "singular Jacobian: fixed point is non-isolated or parabolic "
+            f"(|det(M-I)| = {abs(jac_det):.2e})", t0)
+    if residual >= CLOSURE_TOL:
+        raise OrbitError(f"no closure: residual {residual:.3e}", t0)
+    return PeriodicOrbit(z_star=z, t0=t0, monodromy=m,
+                         classification=classify(m), residual=residual)
 
 
 def symmetry_partner(orbit: PeriodicOrbit, laser: LaserParams,
@@ -421,7 +390,7 @@ def symmetry_partner(orbit: PeriodicOrbit, laser: LaserParams,
     if residual > 10.0 * max(orbit.residual, 1e-10):
         raise OrbitError(
             f"symmetry partner fails to close (residual {residual:.3e}); "
-            "the assumed symmetries do not hold", residual)
+            "the assumed symmetries do not hold", orbit.t0)
     return PeriodicOrbit(z_star=z, t0=t0, monodromy=m,
                          classification=classify(m), residual=residual)
 

@@ -20,7 +20,7 @@ from hhg1d.model import (AtomParams, LaserParams, PerturberParams,
                          gradient_atom, ponderomotive_energy, potential_atom)
 from hhg1d.sampler import StructureParams
 from hhg1d.semiclassics import (find_periodic_orbit, max_return_energy,
-                                quiver_guess, symmetry_partner)
+                                symmetry_partner)
 from hhg1d.spectra import (find_cutoff, fit_purity_decay, hhg_spectrum,
                            parity_contrast, plateau_statistics)
 from hhg1d.tdse import (Grid, PropagatorPlan, absorber_mask, ground_state,
@@ -224,7 +224,7 @@ def test_criterion_08_periodic_orbits():
     details = []
     for cycles in (2.0, 2.5):
         t0 = cycles * T
-        orb = find_periodic_orbit(quiver_guess(t0, FULL), t0, FULL, ATOM)
+        orb = find_periodic_orbit(t0, FULL, ATOM)
         orbits[cycles] = orb
         det = float(np.linalg.det(orb.monodromy))
         tr = float(np.trace(orb.monodromy))

@@ -363,15 +363,27 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_is_4(self, tmp_path, monkeypatch):
-        from hhg1d.semiclassics import OrbitError
-
         def explode(*args, **kwargs):
-            raise OrbitError("no convergence", residual=1.0)
+            raise OrbitError("no closure: residual 1.000e+00", 0.0)
 
         monkeypatch.setattr("hhg1d.cli.find_periodic_orbit", explode)
         rc = main(["orbits", "--anchors", "2.0",
                    "--out", str(tmp_path / "o")])
         assert rc == 4
+
+    def test_orbit_failure_names_its_anchor(self, tmp_path, capsys):
+        # at this laser the anchor 2.25 T_L has an orbit, and at 2.5 T_L the
+        # symmetry line holds a parabolic one
+        cfg = tmp_path / "weak.cfg"
+        cfg.write_text(tiny_config_with("laser", {"F_L": "0.05",
+                                                  "omega": "0.06"}))
+        rc = main(["orbits", "--config", str(cfg), "--anchors", "2.25,2.5",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 4
+        t0 = 2.5 * parse_config(cfg.read_text()).laser.period
+        assert capsys.readouterr().err.startswith(
+            f"numerical failure: orbit at t0 = {t0:.12g} a.u.: singular "
+            "Jacobian")
 
     def test_overflowing_softening_is_2_before_out_exists(self, tmp_path,
                                                           capsys):
@@ -880,7 +892,7 @@ class TestRewrite:
         (["run", "--config", "{seed14}"], "run_ensemble",
          PropagationFailure(1, 7)),
         (["orbits", "--anchors", "2.0"], "find_periodic_orbit",
-         OrbitError("no convergence", residual=1.0)),
+         OrbitError("no closure: residual 1.000e+00", 0.0)),
     ], ids=["run", "orbits"])
     def test_failure_before_writing_keeps_records(self, argv, name, error,
                                                   records, seed14, tmp_path,

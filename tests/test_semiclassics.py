@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,9 @@ from hhg1d.model import (AtomParams, LaserParams, ponderomotive_energy,
                          potential_atom)
 from hhg1d.semiclassics import (FLOW_STEP, ROOT_TOL, BackscatterTrajectory,
                                 OrbitError, _drift_kick, _field_only_x_float,
-                                _flow_steps, _reversible_presearch,
-                                classify, classical_flow,
-                                find_periodic_orbit,
-                                find_returns, max_return_energy, monodromy,
+                                _flow_steps, classify, classical_flow,
+                                find_periodic_orbit, find_returns,
+                                max_return_energy, monodromy,
                                 overlay_orbit, quiver_guess, return_energy,
                                 sfa_momentum, sfa_position, symmetry_partner)
 from hhg1d.splitting import DRIFT_COEFFS, KICK_COEFFS, KICK_TIMES
@@ -296,6 +296,12 @@ class TestClassicalFlow:
         z1 = classical_flow(z0, 2 * T, 3 * T, LASER, None)
         assert np.linalg.norm(z1 - z0) < 1e-10
 
+    def test_laser_only_flow_follows_the_quiver(self):
+        z1 = classical_flow(quiver_guess(2.25 * T, LASER), 2.25 * T, 2.6 * T,
+                            LASER, None)
+        np.testing.assert_allclose(z1, quiver_guess(2.6 * T, LASER), rtol=0,
+                                   atol=1e-9)
+
     def test_field_off_energy_conservation(self):
         laser_off = LaserParams(F_L=0.0, omega_L=0.044)
         z = np.array([1.0, 0.0])
@@ -341,7 +347,8 @@ class TestClassicalFlow:
 def presearch_full_scan(z, t0, laser, atom):
     """Reference presearch: every point of the 17-point scan evaluated,
     the sign change nearest the guess taken among all of them, then the
-    same bisection, each g(x) a separate `classical_flow`."""
+    same bisection, each g(x) a separate `classical_flow`; None when no
+    scan changes sign."""
     T = laser.period
     w = laser.omega_L
     k = math.ceil((w * t0 - 0.5 * math.pi) / math.pi)
@@ -371,7 +378,7 @@ def presearch_full_scan(z, t0, laser, atom):
                     lo, g_lo = mid, g_mid
             return classical_flow((0.5 * (lo + hi), 0.0), t_star, t0, laser,
                                   atom)
-    return np.asarray(z, dtype=float)
+    return None
 
 
 class TestPresearch:
@@ -380,10 +387,13 @@ class TestPresearch:
     def test_outward_scan_picks_the_full_scan_cell(self, laser):
         for anchor in np.arange(13) * 0.25:
             t0 = anchor * laser.period
-            z = quiver_guess(t0, laser)
-            got = _reversible_presearch(z, t0, laser, ATOM)
-            want = presearch_full_scan(z, t0, laser, ATOM)
-            assert got.tobytes() == want.tobytes(), anchor
+            want = presearch_full_scan(quiver_guess(t0, laser), t0, laser,
+                                       ATOM)
+            z_t, m = monodromy(want, t0, laser, ATOM)
+            got = find_periodic_orbit(t0, laser, ATOM)
+            assert got.z_star.tobytes() == want.tobytes(), anchor
+            assert got.monodromy.tobytes() == m.tobytes(), anchor
+            assert got.residual == np.linalg.norm(z_t - want), anchor
 
     def test_flows_per_search_at_the_reduced_point(self, monkeypatch):
         flows = []
@@ -396,10 +406,10 @@ class TestPresearch:
         for anchor in (2.0, 2.5):
             flows.clear()
             t0 = anchor * REDUCED_LASER.period
-            find_periodic_orbit(quiver_guess(t0, REDUCED_LASER), t0,
-                                REDUCED_LASER, ATOM)
-            # 4 flows outside the presearch, 5 scan points, 51 bisections
-            assert len(flows) <= 60, anchor
+            find_periodic_orbit(t0, REDUCED_LASER, ATOM)
+            # the flows to and from the symmetry line, the monodromy, 5 scan
+            # points and 51 bisections
+            assert len(flows) <= 59, anchor
 
 
 class TestMonodromy:
@@ -430,8 +440,7 @@ class TestMonodromy:
 class TestPeriodicOrbits:
     @pytest.fixture(scope="class")
     def orbit(self):
-        return find_periodic_orbit(quiver_guess(2 * T, LASER), 2 * T,
-                                   LASER, ATOM)
+        return find_periodic_orbit(2 * T, LASER, ATOM)
 
     def test_residual_and_classification(self, orbit):
         assert orbit.residual < 1e-10
@@ -475,9 +484,29 @@ class TestPeriodicOrbits:
         np.testing.assert_allclose(back.z_star, orbit.z_star, atol=1e-10)
 
     def test_degenerate_field_only_system(self):
-        with pytest.raises(OrbitError):
-            find_periodic_orbit(np.array([0.5, LASER.F_L / LASER.omega_L]),
-                                2 * T, LASER, None)
+        # field-only, p after half a period does not depend on x
+        with pytest.raises(OrbitError, match=re.escape(
+                f"orbit at t0 = {2 * T:.12g} a.u.: no sign change")):
+            find_periodic_orbit(2 * T, LASER, None)
+
+    def test_singular_jacobian_is_refused(self):
+        laser = LaserParams(F_L=0.05, omega_L=0.06)
+        with pytest.raises(OrbitError, match="singular Jacobian"):
+            find_periodic_orbit(2 * laser.period, laser, ATOM)
+
+    def test_open_orbit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(semiclassics, "CLOSURE_TOL", 0.0)
+        with pytest.raises(OrbitError, match="no closure: residual"):
+            find_periodic_orbit(2 * T, LASER, ATOM)
+
+    def test_quarter_anchor_is_the_flowed_orbit(self):
+        # the seed at a field extremum sits on the orbit's side of x = 0
+        laser = RunConfig().laser
+        t_l = laser.period
+        orbit = find_periodic_orbit(2 * t_l, laser, ATOM)
+        quarter = find_periodic_orbit(2.25 * t_l, laser, ATOM)
+        want = classical_flow(orbit.z_star, 2 * t_l, 2.25 * t_l, laser, ATOM)
+        np.testing.assert_allclose(quarter.z_star, want, rtol=0, atol=1e-8)
 
     def test_overlay_periodicity(self, orbit):
         times, x = overlay_orbit(orbit, LASER, ATOM, 2 * T, 6 * T,
