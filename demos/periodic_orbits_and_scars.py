@@ -4,7 +4,7 @@ the quantum density.
 
 At the full reference field the one-period flow map of the driven soft-core
 atom has a pair of hyperbolic fixed points near the zero-drift quiver; the
-search bisects them on the reversing-symmetry line to machine residual.  A
+search solves for them on the reversing-symmetry line to machine residual.  A
 small disorder ensemble then shows the ensemble-averaged probability
 density concentrating along these orbits; raise N_CONFIGS (the reference
 uses ~10³) to sharpen the localization.  Expect a few minutes of runtime

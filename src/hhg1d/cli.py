@@ -401,6 +401,7 @@ def cmd_orbits(args) -> int:
                 f"p = {orb.z_star[1]:.12g}",
                 f"monodromy = {m[0, 0]:.12g} {m[0, 1]:.12g} "
                 f"{m[1, 0]:.12g} {m[1, 1]:.12g}",
+                f"trace = {np.trace(m):.12g}",
                 f"classification = {orb.classification}",
                 f"residual = {orb.residual:.3e}",
                 "",

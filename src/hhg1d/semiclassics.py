@@ -19,7 +19,7 @@ import numpy as np
 from .model import AtomParams, LaserParams, ponderomotive_energy
 from .splitting import DRIFT_COEFFS, KICK_COEFFS, KICK_TIMES
 
-ROOT_TOL = 1e-10        # bracket width (a.u.) at which bisection stops
+ROOT_TOL = 1e-10        # step (a.u.) below which a root search stops
 FLOW_STEP = 0.01        # largest integration step (a.u.) of the exact flow
 CLOSURE_TOL = 1e-10     # closure residual |φ(z) - z| of a periodic orbit
 
@@ -75,20 +75,23 @@ def return_energy(t_r, t_i: float, laser: LaserParams):
     return 2.0 * up * (np.cos(w * t_r) - np.cos(w * t_i)) ** 2
 
 
-def _field_only_x_float(t0: float, x0: float, p0: float, laser: LaserParams):
-    """`_field_only_x` as a function of one Python float, without numpy's
-    per-call cost: the same IEEE operations in their order, with math.sin
-    and math.cos, which agree with numpy's bit for bit."""
+def _field_only_float(t0: float, x0: float, p0: float, laser: LaserParams):
+    """The field-only path through (x0, p0) at t0 as a function of one
+    Python float t, returning (x(t), p(t)) without numpy's per-call cost:
+    the IEEE operations of `_field_only_x` and `_field_only_p` in their
+    order, with math.sin and math.cos, which agree with numpy's bit for
+    bit."""
     w, f = laser.omega_L, laser.F_L
-    drift = p0 - (f / w) * math.cos(w * t0)
-    quiver = f / w**2
-    sin_0 = math.sin(w * t0)
-    sin = math.sin
+    speed, quiver = f / w, f / w**2
+    sin_0, cos_0 = math.sin(w * t0), math.cos(w * t0)
+    drift = p0 - speed * cos_0
+    sin, cos = math.sin, math.cos
 
-    def x_at(t):
-        return drift * (t - t0) + quiver * (sin(w * t) - sin_0) + x0
+    def path(t):
+        return (drift * (t - t0) + quiver * (sin(w * t) - sin_0) + x0,
+                p0 + speed * (cos(w * t) - cos_0))
 
-    return x_at
+    return path
 
 
 def _knots(t0: float, p0: float, laser: LaserParams,
@@ -114,21 +117,53 @@ def _knots(t0: float, p0: float, laser: LaserParams,
     return [t0, *sorted(t for t in turns if t0 + ROOT_TOL < t < end), end]
 
 
-def _bracket_roots(x_at, knots: list[float], level: float):
-    """Yield the roots of x_at(t) = level between the first and the last
-    knot, in order, x_at being monotone between consecutive knots: each
-    piece [a, b] with x(a) ≠ level and (x(a) - level)(x(b) - level) ≤ 0
-    holds one, bisected until its bracket is narrower than ROOT_TOL.  So
-    the launch, a tangency and a path resting on the level each give one
-    root at most.
+def _newton_root(f, lo: float, hi: float, f_lo: float) -> float:
+    """A root of f in the sign-change bracket [lo, hi], f(lo) having the
+    sign of f_lo and f(hi) the other sign or zero.
+
+    f(x) returns (value, slope).  Each step is Newton's when it lands
+    strictly inside the bracket, or is too small to move x, and a
+    bisection otherwise, starting from the midpoint; every evaluation
+    shrinks the bracket (Numerical Recipes §9.4, rtsafe).  The search
+    stops when a step is below ROOT_TOL or the bracket can shrink no more,
+    and returns the last step's end.
     """
-    v = [x_at(t) - level for t in knots]
+    x = 0.5 * (lo + hi)
+    while True:
+        value, slope = f(x)
+        if value == 0.0:
+            return x
+        if (value > 0.0) == (f_lo > 0.0):
+            lo = x
+        else:
+            hi = x
+        new = x - value / slope if slope else math.nan
+        if not (lo < new < hi or new == x):
+            new = 0.5 * (lo + hi)
+            if not lo < new < hi:
+                return new      # the bracket can shrink no more
+        if abs(new - x) < ROOT_TOL:
+            return new
+        x = new
+
+
+def _bracket_roots(path, knots: list[float], level: float):
+    """Yield the roots of x(t) = level between the first and the last
+    knot, in order, `path(t)` giving (x, p = dx/dt) and x being monotone
+    between consecutive knots: each piece [a, b] with x(a) ≠ level and
+    (x(a) - level)(x(b) - level) ≤ 0 holds one, found by `_newton_root`.
+    So the launch, a tangency and a path resting on the level each give
+    one root at most.
+    """
+    def f(t):
+        x, p = path(t)
+        return x - level, p
+
+    v = [path(t)[0] - level for t in knots]
     for a, b, v_a, v_b in zip(knots, knots[1:], v, v[1:]):
         if v_a == 0.0 or v_a * v_b > 0.0:
             continue
-        while b - a > ROOT_TOL and a < (mid := 0.5 * (a + b)) < b:
-            a, b = (mid, b) if (x_at(mid) - level) * v_a > 0.0 else (a, mid)
-        yield 0.5 * (a + b)
+        yield _newton_root(f, a, b, v_a)
 
 
 def find_returns(t_i: float, ell: float, laser: LaserParams,
@@ -143,9 +178,9 @@ def find_returns(t_i: float, ell: float, laser: LaserParams,
     if ell < 0:
         raise ValueError("return distance must be nonnegative")
     targets = [0.0] if ell == 0.0 else [ell, -ell]
-    x_at = _field_only_x_float(t_i, 0.0, 0.0, laser)
+    path = _field_only_float(t_i, 0.0, 0.0, laser)
     knots = _knots(t_i, 0.0, laser, horizon)
-    roots = [list(_bracket_roots(x_at, knots, target)) for target in targets]
+    roots = [list(_bracket_roots(path, knots, target)) for target in targets]
     side = np.repeat(np.sign(targets), [len(r) for r in roots]).astype(int)
     t_r = np.concatenate(roots)
     order = np.argsort(t_r, kind="stable")
@@ -196,7 +231,7 @@ class BackscatterTrajectory:
         """Arrival times at x = 0 after the reversal, and the kinetic
         energies there."""
         t_r = np.fromiter(_bracket_roots(
-            _field_only_x_float(self.t_s, self.x_s, -self.p_s, self.laser),
+            _field_only_float(self.t_s, self.x_s, -self.p_s, self.laser),
             _knots(self.t_s, -self.p_s, self.laser, horizon), 0.0), float)
         return t_r, 0.5 * self.momentum(t_r) ** 2
 
@@ -309,13 +344,16 @@ def _reversible_presearch(z, t0: float, laser: LaserParams,
     potential the flow is reversible about them: an orbit crossing such a
     phase with p = 0 and doing so again half a period later closes exactly.
     That reduces the search to a scalar root x* of
-    g(x) = p[φ over T_L/2 from (x, 0)], solved by bracketing + bisection
-    near z flowed to that phase.  Every g(x) flows over the same half
-    period, so one field table serves them all.  The cells of a 17-point
-    scan are visited in order of their midpoints' distance from the guess,
-    the lower cell first on a tie, and the first that changes sign is
-    bisected; each scan point is evaluated once at most, and only as far
-    out as that cell.  No sign change out to half-width 40 is an error.
+    g(x) = p[φ over T_L/2 from (x, 0)] near z flowed to that phase.  Every
+    g(x) flows over the same half period, so one field table serves them
+    all.  The cells of a 17-point scan are visited in order of their
+    midpoints' distance from the guess, the lower cell first on a tie, and
+    the first that changes sign is taken; each scan point is evaluated once
+    at most, and only as far out as that cell.  No sign change out to
+    half-width 40 is an error.  A cell may hold several roots, ~0.2 a.u.
+    apart; six bisections isolate one in a bracket of 1/64 the cell
+    (0.01 a.u. at half-width 5), which `_newton_root` then solves with
+    dg/dx from the tangent flow.
     """
     T = laser.period
     w = laser.omega_L
@@ -326,6 +364,11 @@ def _reversible_presearch(z, t0: float, laser: LaserParams,
 
     def g(x):
         return float(_drift_kick((x, 0.0), half, atom, tangent=False)[0][1])
+
+    def g_and_slope(x):
+        # the flow starts from (x, 0), so dg/dx is the tangent map's M[1, 0]
+        z, m = _drift_kick((x, 0.0), half, atom, tangent=True)
+        return float(z[1]), float(m[1, 0])
 
     for half_width in (5.0, 10.0, 20.0, 40.0):
         xs = np.linspace(x0 - half_width, x0 + half_width, 17)
@@ -340,17 +383,15 @@ def _reversible_presearch(z, t0: float, laser: LaserParams,
         else:
             continue        # no sign change at this width: widen
         lo, hi, g_lo = xs[i], xs[i + 1], vals[i]
-        for _ in range(60):
+        for _ in range(6):
             mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break       # mid is lo or hi: the bracket can shrink no more
             g_mid = g(mid)
             if g_lo * g_mid <= 0.0:
                 hi = mid
             else:
                 lo, g_lo = mid, g_mid
-        return classical_flow((0.5 * (lo + hi), 0.0), t_star, t0, laser,
-                              atom)
+        x = _newton_root(g_and_slope, lo, hi, g_lo)
+        return classical_flow((x, 0.0), t_star, t0, laser, atom)
     raise OrbitError("no sign change of p half a period from (x, 0) "
                      f"within x = {x0:.6g} ± 40", t0)
 

@@ -948,3 +948,11 @@ class TestSemiclassicsCommands:
         text = (out / "orbits.txt").read_text()
         assert "hyperbolic" in text
         assert "partner" in text
+        blocks = [dict(line.split(" = ") for line in block.splitlines()[1:])
+                  for block in text.split("\n\n")]
+        assert len(blocks) == 2
+        for block in blocks:
+            m00, _, _, m11 = map(float, block["monodromy"].split())
+            assert float(block["trace"]) == pytest.approx(m00 + m11,
+                                                          rel=1e-11)
+            assert abs(float(block["trace"])) > 2.0

@@ -8,14 +8,16 @@ from hhg1d import semiclassics
 from hhg1d.config import RunConfig
 from hhg1d.model import (AtomParams, LaserParams, ponderomotive_energy,
                          potential_atom)
-from hhg1d.semiclassics import (FLOW_STEP, ROOT_TOL, BackscatterTrajectory,
-                                OrbitError, _drift_kick, _field_only_x_float,
-                                _flow_steps, classify, classical_flow,
+from hhg1d.semiclassics import (CLOSURE_TOL, FLOW_STEP, ROOT_TOL,
+                                BackscatterTrajectory, OrbitError,
+                                _drift_kick, _field_only_float, _flow_steps,
+                                _newton_root, classify, classical_flow,
                                 find_periodic_orbit, find_returns,
                                 max_return_energy, monodromy,
                                 overlay_orbit, quiver_guess, return_energy,
                                 sfa_momentum, sfa_position, symmetry_partner)
 from hhg1d.splitting import DRIFT_COEFFS, KICK_COEFFS, KICK_TIMES
+from oracles import presearch_bisection, symmetry_line_cell
 
 LASER = LaserParams(F_L=0.15, omega_L=0.044)
 REDUCED_LASER = LaserParams(F_L=0.075, omega_L=0.057)
@@ -112,16 +114,18 @@ class TestSfaTrajectory:
     def test_float_position_is_bitwise_array_position(self):
         rng = np.random.default_rng(36)
         for t_i in rng.uniform(0, T, 20):
-            x_at = _field_only_x_float(t_i, 0.0, 0.0, LASER)
+            path = _field_only_float(t_i, 0.0, 0.0, LASER)
             t = t_i + rng.uniform(0, 2.5 * T, 500)
-            got = np.array([x_at(s) for s in t.tolist()])
-            assert got.tobytes() == sfa_position(t, t_i, LASER).tobytes()
+            x, p = np.array([path(s) for s in t.tolist()]).T
+            assert x.tobytes() == sfa_position(t, t_i, LASER).tobytes()
+            assert p.tobytes() == sfa_momentum(t, t_i, LASER).tobytes()
             # the second segment of a backscattered path
             traj = BackscatterTrajectory(t_i, t_i + 0.4 * T, LASER)
-            x_at = _field_only_x_float(traj.t_s, traj.x_s, -traj.p_s, LASER)
+            path = _field_only_float(traj.t_s, traj.x_s, -traj.p_s, LASER)
             t = traj.t_s + rng.uniform(0, 2.5 * T, 500)
-            got = np.array([x_at(s) for s in t.tolist()])
-            assert got.tobytes() == traj.position(t).tobytes()
+            x, p = np.array([path(s) for s in t.tolist()]).T
+            assert x.tobytes() == traj.position(t).tobytes()
+            assert p.tobytes() == traj.momentum(t).tobytes()
 
     def test_energy_identity(self):
         rng = np.random.default_rng(2)
@@ -266,18 +270,19 @@ class TestBackscatter:
     def test_origin_returns_match_array_bisection(self):
         rng = np.random.default_rng(35)
         arrivals = 0
-        for _ in range(40):
+        for _ in range(120):
             t_i = rng.uniform(0, T)
             traj = BackscatterTrajectory(t_i, t_i + rng.uniform(0.05, 1.0) * T,
                                          LASER)
-            t_r, e_r = traj.origin_returns()
-            want = roots_on_arrays(traj.position, traj.t_s, 1.5)
+            horizon = rng.uniform(0.2, 2.5)
+            t_r, e_r = traj.origin_returns(horizon)
+            want = roots_on_arrays(traj.position, traj.t_s, horizon)
             assert t_r.size == want.size
             np.testing.assert_allclose(t_r, want, rtol=0, atol=1e-9)
             np.testing.assert_allclose(e_r, 0.5 * traj.momentum(want) ** 2,
                                        rtol=0, atol=1e-8)
             arrivals += t_r.size
-        assert arrivals > 10
+        assert arrivals > 60
 
     def test_boost_beyond_classic_limit(self):
         """Some reversal exists whose origin return exceeds 3.17 U_p."""
@@ -345,40 +350,18 @@ class TestClassicalFlow:
 
 
 def presearch_full_scan(z, t0, laser, atom):
-    """Reference presearch: every point of the 17-point scan evaluated,
-    the sign change nearest the guess taken among all of them, then the
-    same bisection, each g(x) a separate `classical_flow`; None when no
-    scan changes sign."""
-    T = laser.period
-    w = laser.omega_L
-    k = math.ceil((w * t0 - 0.5 * math.pi) / math.pi)
-    t_star = (0.5 * math.pi + k * math.pi) / w
-    x0 = float(classical_flow(z, t0, t_star, laser, atom)[0])
+    """Reference presearch: the full-scan cell of `symmetry_line_cell`,
+    halved six times and then solved by `_newton_root`, each g(x) and its
+    slope a separate tangent flow with its own field table."""
+    t_star, lo, hi, g_lo = symmetry_line_cell(z, t0, laser, atom, 6)
+    half = (t_star, t_star + 0.5 * laser.period)
 
-    def g(x):
-        return float(classical_flow((x, 0.0), t_star, t_star + 0.5 * T, laser,
-                                    atom)[1])
+    def g_and_slope(x):
+        z, m = _drift_kick((x, 0.0), _flow_steps(*half, laser), atom, True)
+        return float(z[1]), float(m[1, 0])
 
-    for half_width in (5.0, 10.0, 20.0, 40.0):
-        xs = np.linspace(x0 - half_width, x0 + half_width, 17)
-        vals = np.array([g(x) for x in xs])
-        flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-        if flips.size:
-            mids = 0.5 * (xs[flips] + xs[flips + 1])
-            i = flips[np.argmin(np.abs(mids - x0))]
-            lo, hi, g_lo = xs[i], xs[i + 1], vals[i]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    break
-                g_mid = g(mid)
-                if g_lo * g_mid <= 0.0:
-                    hi = mid
-                else:
-                    lo, g_lo = mid, g_mid
-            return classical_flow((0.5 * (lo + hi), 0.0), t_star, t0, laser,
-                                  atom)
-    return None
+    x = _newton_root(g_and_slope, lo, hi, g_lo)
+    return classical_flow((x, 0.0), t_star, t0, laser, atom)
 
 
 class TestPresearch:
@@ -395,21 +378,36 @@ class TestPresearch:
             assert got.monodromy.tobytes() == m.tobytes(), anchor
             assert got.residual == np.linalg.norm(z_t - want), anchor
 
-    def test_flows_per_search_at_the_reduced_point(self, monkeypatch):
-        flows = []
+    @pytest.mark.parametrize("laser", [REDUCED_LASER, RunConfig().laser],
+                             ids=["reduced", "default"])
+    def test_matches_sixty_step_bisection(self, laser):
+        for anchor in np.arange(13) * 0.25:
+            t0 = anchor * laser.period
+            want = presearch_bisection(quiver_guess(t0, laser), t0, laser,
+                                       ATOM)
+            got = find_periodic_orbit(t0, laser, ATOM)
+            np.testing.assert_allclose(got.z_star, want, rtol=0, atol=1e-10,
+                                       err_msg=f"anchor {anchor}")
+            assert got.classification == classify(
+                monodromy(want, t0, laser, ATOM)[1]), anchor
+            assert got.residual < CLOSURE_TOL, anchor
 
-        def counted(*args, **kwargs):
-            flows.append(1)
-            return _drift_kick(*args, **kwargs)
+    def test_flows_per_search_at_the_reduced_point(self, monkeypatch):
+        flows = {False: 0, True: 0}
+
+        def counted(z0, steps, atom, tangent):
+            flows[tangent] += 1
+            return _drift_kick(z0, steps, atom, tangent)
 
         monkeypatch.setattr(semiclassics, "_drift_kick", counted)
         for anchor in (2.0, 2.5):
-            flows.clear()
+            flows.update({False: 0, True: 0})
             t0 = anchor * REDUCED_LASER.period
             find_periodic_orbit(t0, REDUCED_LASER, ATOM)
-            # the flows to and from the symmetry line, the monodromy, 5 scan
-            # points and 51 bisections
-            assert len(flows) <= 59, anchor
+            # plain: the flows to and from the symmetry line, 5 scan points
+            # and 6 bisections; tangent: 4 Newton steps and the monodromy
+            assert flows[False] <= 13, anchor
+            assert flows[True] <= 5, anchor
 
 
 class TestMonodromy:
@@ -530,6 +528,46 @@ class TestPeriodicOrbits:
         guess = quiver_guess(2 * T, LASER)
         quiver = LASER.F_L / LASER.omega_L**2
         assert np.abs(guess - orbit.z_star).max() < 0.15 * quiver
+
+
+class TestNewtonRoot:
+    def test_bisects_where_newton_leaves_the_bracket(self):
+        # from the midpoint 5 the Newton step of atan lands far outside
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.atan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)
+
+        assert abs(_newton_root(f, -10.0, 20.0, -1.0) - 0.3) < 1e-14
+        assert len(calls) < 15
+
+    def test_zero_slope_bisects(self):
+        # x³ - 3x - 1 has zero slope at the midpoint 1 of [0, 2]
+        root = _newton_root(lambda x: (x**3 - 3 * x - 1, 3 * x * x - 3),
+                            0.0, 2.0, -1.0)
+        assert root == pytest.approx(2 * math.cos(math.pi / 9), abs=1e-14)
+
+    def test_stops_on_a_step_below_the_float_spacing(self):
+        # at the root the Newton step 7.5e-15 rounds away next to 145
+        # (spacing 2.8e-14): it ends the search instead of bisecting
+        # from the far end of the bracket
+        root = 145.38055689788683
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 4.0 * (x - root) - 3e-14, 4.0
+
+        assert _newton_root(f, 100.0, 200.0, -1.0) == root
+        assert len(calls) <= 3
+
+    def test_stops_when_the_bracket_cannot_shrink(self):
+        # spacing of floats near 1e8 is 1.5e-8, far above ROOT_TOL
+        edge = 1e8 + 0.3
+        root = _newton_root(lambda x: (1.0 if x > edge else -1.0, 0.0),
+                            1e8 - 5.0, 1e8 + 5.0, -1.0)
+        assert abs(root - edge) <= 2 * math.ulp(edge)
 
 
 class TestClassify:
