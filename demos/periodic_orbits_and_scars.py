@@ -40,8 +40,8 @@ spec = RunConfig(n_c=N_CONFIGS, master_seed=3,
                  x_min=-400.0, x_max=400.0, n_grid=2560, dt=0.05,
                  record_stride=8)
 record = run_ensemble(spec, workers=2)
-pmap = probability_density_map(record.snapshot_times, record.snapshots,
-                               spec.grid())
+x = spec.grid().x
+density = probability_density_map(record.snapshots, spec.grid())
 
 try:
     import matplotlib.pyplot as plt
@@ -50,12 +50,12 @@ except ImportError:
     raise SystemExit(0)
 
 fig, ax = plt.subplots(figsize=(7.5, 4.5))
-v = pmap.values.T
+v = density.T
 vmax = v.max()
 ax.imshow(v, origin="lower", aspect="auto", cmap="Blues",
           norm=LogNorm(vmin=vmax * 1e-7, vmax=vmax),
-          extent=(pmap.row_axis[0] / T, pmap.row_axis[-1] / T,
-                  pmap.col_axis[0], pmap.col_axis[-1]))
+          extent=(record.snapshot_times[0] / T,
+                  record.snapshot_times[-1] / T, x[0], x[-1]))
 for orb, style in ((orbit, "-"), (partner, "--")):
     t_o, x_o = overlay_orbit(orb, laser, atom, 2 * T, laser.duration)
     ax.plot(t_o / T, x_o, style, color="red", lw=1)

@@ -32,7 +32,7 @@ from .config import (ConfigError, RunConfig, load_config, parse_config,
                      render_config)
 from .ensemble import (PropagationFailure, density_matrix_map,
                        probability_density_map, purity_series, run_ensemble)
-from .model import potential_atom
+from .model import potential_atom, quiver_radius
 from .sampler import pair_correlation, sample_ensemble, save_configurations, \
     load_configurations
 from .semiclassics import (OrbitError, find_periodic_orbit, find_returns,
@@ -41,7 +41,7 @@ from .spectra import fit_purity_decay, gabor, hhg_spectrum, in_fit_window
 from .storage import (MalformedRecordError, Manifest, MissingArtifactError,
                       SnapshotSet, read_map, read_wavefunctions, write_csv,
                       write_map, write_wavefunctions)
-from .tdse import ConvergenceError, ground_state
+from .tdse import ConvergenceError, absorber_edges, ground_state
 
 EXIT_CONFIG = 2
 EXIT_MISSING = 3
@@ -122,10 +122,29 @@ def cmd_sample_env(args) -> int:
     return 0
 
 
+def _check_reach(cfg: RunConfig) -> None:
+    """Refuse a run whose quiver excursion 2F_L/ω_L², or whose outermost
+    possible scatterer (n_p/2 gaps of 4a/3; only with A_E > 0), reaches
+    the absorber band.  Only `run` checks this: library callers may
+    propagate a small box at full field on purpose."""
+    reach = {"quiver excursion 2F_L/ω_L²": 2.0 * quiver_radius(cfg.laser)}
+    if cfg.perturber.A_E > 0:
+        reach["outermost possible scatterer (n_p/2 gaps of 4a/3)"] = \
+            cfg.structure.n_p // 2 * cfg.structure.window[1]
+    left, right = absorber_edges(cfg.grid())
+    band = min(-left, right)
+    for what, x in reach.items():
+        if x >= band:
+            raise ConfigError(f"{what} reaches |x| = {x:g}, in the "
+                              f"absorber band, which starts at |x| = "
+                              f"{band:g}")
+
+
 def cmd_run(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg, out, manifest = _start(args)
+    _check_reach(cfg)
     record = run_ensemble(cfg, workers=args.workers)
     env_txt, mean_csv, accel_bin = paths = [
         out / "environment.txt", out / "mean_series.csv",
@@ -160,12 +179,18 @@ class _Analysis:
 
     Outputs are written to --out, or beside the records; only in the latter
     case are they entered in the manifest.  The output directory is created
-    by the first `path` call, after the command's input checks.
+    by the first `path` call, after the command's input checks.  Records
+    whose manifest's master_seed differs from its config's are refused.
     """
 
     def __init__(self, args):
         self.manifest = Manifest.load(args.records)
         self.cfg = parse_config(self.manifest.data["config"])
+        seed = self.manifest.data["master_seed"]
+        if seed != self.cfg.master_seed:
+            raise MalformedRecordError(
+                f"{self.manifest.path}: master_seed {seed}, but its config "
+                f"has master_seed = {self.cfg.master_seed}")
         self.grid = self.cfg.grid()
         self.rdir = Path(args.records)
         self.out = _out_dir(args.out) if args.out else self.rdir
@@ -210,14 +235,20 @@ class _Analysis:
 
     def snapshots(self, window=None) -> tuple[np.ndarray, SnapshotSet]:
         """Snapshot times and the states of the `snapshots/` files that the
-        manifest lists, read one (n_c, n) probe at a time; a fit `window`
-        that holds no time of the first file is refused before any read of
-        the states.  The caller verifies the files after its pass over them,
-        by that pass's digests (None, and then hashed, after reads out of
-        order).
+        manifest lists, read one (n_c, n) probe at a time; a first file
+        whose grid is not the config's, and a fit `window` that holds no
+        time of it, are refused before any read of the states.  The caller
+        verifies the files after its pass over them, by that pass's digests
+        (None, and then hashed, after reads out of order).
         """
         files = self.files("snapshots")
-        times = read_wavefunctions(files[0])[2]
+        x_min, x_max, times, states = read_wavefunctions(files[0])
+        grid = self.grid
+        if (x_min, x_max, states.shape[1]) != (grid.x_min, grid.x_max, grid.n):
+            raise MalformedRecordError(
+                f"{files[0]}: grid x_min = {x_min!r}, x_max = {x_max!r}, "
+                f"n = {states.shape[1]}, but the config has "
+                f"{grid.x_min!r}, {grid.x_max!r}, {grid.n}")
         if window is not None and not np.any(in_fit_window(times, window)):
             raise MissingArtifactError(
                 f"{self.rdir / 'snapshots'}: no snapshot time in the fit "
@@ -332,16 +363,16 @@ def cmd_density_map(args) -> int:
         else len(times) // 2
     # one pass over the files: the chosen probe is kept as it goes by
     kept = []
-    pmap = probability_density_map(times, _keeping(snaps, idx, kept), grid)
+    pmap = probability_density_map(_keeping(snaps, idx, kept), grid)
     run.verify(*snaps.paths, digests=snaps.digests())
     # both maps before either file: a bad record at any probe writes nothing
-    dmap = density_matrix_map(kept[0], grid,
-                              mask=run.cfg.mask if args.masked else None,
-                              x_range=x_range, stride=args.stride)
+    x_sub, dmap = density_matrix_map(
+        kept[0], grid, mask=run.cfg.mask if args.masked else None,
+        x_range=x_range, stride=args.stride)
     dpath = run.path("density_matrix.bin")
-    write_map(dpath, dmap.row_axis, dmap.col_axis, dmap.values, "x", "x'")
+    write_map(dpath, x_sub, x_sub, dmap, "x", "x'")
     ppath = run.path("probability_density.bin")
-    write_map(ppath, pmap.row_axis, pmap.col_axis, pmap.values, "t", "x")
+    write_map(ppath, times, grid.x, pmap, "t", "x")
     run.save(dpath, ppath)
     print(f"density matrix at t={times[idx]:.2f} -> {dpath}")
     print(f"probability density map -> {ppath}")

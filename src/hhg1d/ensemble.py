@@ -25,8 +25,8 @@ from .model import (AtomParams, EnvironmentConfig, LaserParams,
                     PerturberParams, gradient_atom, gradient_env,
                     potential_atom, potential_env)
 from .sampler import StructureParams, sample_ensemble
-from .tdse import (ABSORBER_BAND, Grid, PropagationFailure,
-                   PropagationRecord, PropagatorPlan, absorber_mask,
+from .tdse import (Grid, PropagationFailure, PropagationRecord,
+                   PropagatorPlan, absorber_edges, absorber_mask,
                    check_ground_state_depth, ground_state, propagate)
 
 
@@ -92,8 +92,8 @@ class RunConfig:
         grid = self.grid()      # raises for n < 2 or x_max <= x_min
         # the photoelectron mask must reach 1 before the absorber starts
         ramp_end = self.mask.r0 + 0.5 * self.mask.width
-        band = min(grid.x_max, -grid.x_min) \
-            - ABSORBER_BAND * (grid.x_max - grid.x_min)
+        left, right = absorber_edges(grid)
+        band = min(-left, right)
         if ramp_end >= band:
             raise ValueError(f"mask_radius {self.mask.r0!r}: the mask ramp "
                              f"ends at |x| = {ramp_end:g}, in the absorber "
@@ -257,20 +257,12 @@ def purity_series(snapshots: np.ndarray, grid: Grid,
     return p_tot, p_ph
 
 
-@dataclass
-class SpatialMap:
-    """2D field over two axes (time × position, or position × position)."""
-
-    row_axis: np.ndarray
-    col_axis: np.ndarray
-    values: np.ndarray
-
-
 def density_matrix_map(snapshots: np.ndarray, grid: Grid,
                        mask: MaskSpec | None = None,
                        x_range: tuple[float, float] | None = None,
-                       stride: int = 1) -> SpatialMap:
-    """|ρ(x, x')|² of the mixture on a strided subgrid.
+                       stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """|ρ(x, x')|² of the mixture on a strided subgrid: (x, values), the
+    subgrid's positions, which are both axes, and the (m, m) map.
 
     `snapshots` is one (n_c, n) probe.  ρ(x, x') = (1/N_c) Σ_i ψ_i(x)
     ψ_i*(x'); the subgrid bounds memory, which would otherwise grow as the
@@ -287,18 +279,15 @@ def density_matrix_map(snapshots: np.ndarray, grid: Grid,
     if mask is not None:
         sub = sub * mask.values(grid.x[idx])
     rho = (sub.T @ sub.conj()) / a.shape[0]
-    return SpatialMap(grid.x[idx], grid.x[idx], np.abs(rho) ** 2)
+    return grid.x[idx], np.abs(rho) ** 2
 
 
-def probability_density_map(times: np.ndarray, snapshots,
-                            grid: Grid) -> SpatialMap:
-    """Ensemble-averaged |ψ(x, t)|² of snapshots at `times`: an
+def probability_density_map(snapshots, grid: Grid) -> np.ndarray:
+    """Ensemble-averaged |ψ(x, t)|², (n_s, n), of snapshots: an
     (n_s, n_c, n) array or any iterable of n_s (n_c, n) probes, taken once
     each, in order.
 
     One probe at a time, so no temporary as large as the snapshots exists.
     """
-    dens = np.empty((len(times), grid.n))
-    for row, probe in zip(dens, snapshots, strict=True):
-        row[:] = np.mean(np.abs(probe) ** 2, axis=0)
-    return SpatialMap(times, grid.x, dens)
+    return np.fromiter((np.mean(np.abs(probe) ** 2, axis=0)
+                        for probe in snapshots), dtype=(float, grid.n))

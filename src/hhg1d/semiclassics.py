@@ -252,8 +252,7 @@ def _flow_steps(t0: float, t1: float,
     return h, (laser.F_L * np.sin(laser.omega_L * t)).ravel().tolist()
 
 
-def _drift_kick(z0, steps: tuple[float, list[float]],
-                atom: AtomParams | None,
+def _drift_kick(z0, steps: tuple[float, list[float]], atom: AtomParams,
                 tangent: bool) -> tuple[np.ndarray, np.ndarray]:
     """The drift-kick composition from z0 over the steps of `_flow_steps`.
 
@@ -269,7 +268,7 @@ def _drift_kick(z0, steps: tuple[float, list[float]],
     h, field = steps
     x, p = float(z0[0]), float(z0[1])
     m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-    alpha = atom.softening if atom is not None else None
+    alpha = atom.softening
     # python floats, and the stage coefficients as one tuple per kick: the
     # scalar loop runs faster on them than on numpy's or on indexed lists
     a0, *a_rest = (DRIFT_COEFFS * h).tolist()
@@ -281,15 +280,12 @@ def _drift_kick(z0, steps: tuple[float, list[float]],
             m00 += a0 * m10
             m01 += a0 * m11
         for b, a in stages:
-            force = next(forces)
-            if alpha is not None:
-                r2 = x * x + alpha
-                force += x * r2**-1.5
-                if tangent:
-                    curv = b * (alpha - 2.0 * x * x) * r2**-2.5
-                    m10 -= curv * m00
-                    m11 -= curv * m01
-            p -= b * force
+            r2 = x * x + alpha
+            if tangent:
+                curv = b * (alpha - 2.0 * x * x) * r2**-2.5
+                m10 -= curv * m00
+                m11 -= curv * m01
+            p -= b * (next(forces) + x * r2**-1.5)
             x += a * p
             if tangent:
                 m00 += a * m10
@@ -298,19 +294,18 @@ def _drift_kick(z0, steps: tuple[float, list[float]],
 
 
 def classical_flow(z0, t0: float, t1: float, laser: LaserParams,
-                   atom: AtomParams | None) -> np.ndarray:
+                   atom: AtomParams) -> np.ndarray:
     """Integrate ẋ = p, ṗ = -V'(x) - F_L sin(ωt) from t0 to t1.
 
     Same fourth-order drift-kick composition as the quantum engine; the
-    kick time advances with the accumulated drift coefficients.  atom=None
-    drops the soft-core force (field-only flow).
+    kick time advances with the accumulated drift coefficients.
     """
     return _drift_kick(z0, _flow_steps(t0, t1, laser), atom,
                        tangent=False)[0]
 
 
 def monodromy(z0, t0: float, laser: LaserParams,
-              atom: AtomParams | None) -> tuple[np.ndarray, np.ndarray]:
+              atom: AtomParams) -> tuple[np.ndarray, np.ndarray]:
     """One-period flow and its linearization around the trajectory.
 
     The tangent map M is the exact Jacobian of the discrete flow map (see
@@ -337,7 +332,7 @@ def quiver_guess(t0: float, laser: LaserParams) -> np.ndarray:
 
 
 def _reversible_presearch(z, t0: float, laser: LaserParams,
-                          atom: AtomParams | None) -> np.ndarray:
+                          atom: AtomParams) -> np.ndarray:
     """The orbit point at t0 on the reversing-symmetry line nearest z.
 
     The field is even about its extremum phases, so with the even soft-core
@@ -396,48 +391,54 @@ def _reversible_presearch(z, t0: float, laser: LaserParams,
                      f"within x = {x0:.6g} ± 40", t0)
 
 
+def _orbit_at(z: np.ndarray, t0: float, laser: LaserParams,
+              atom: AtomParams) -> PeriodicOrbit:
+    """The candidate orbit through z at t0, linearized and classified by
+    one `monodromy`; the caller decides whether it closes."""
+    z_t, m = monodromy(z, t0, laser, atom)
+    return PeriodicOrbit(z_star=z, t0=t0, monodromy=m,
+                         classification=classify(m),
+                         residual=float(np.linalg.norm(z_t - z)))
+
+
 def find_periodic_orbit(t0: float, laser: LaserParams,
-                        atom: AtomParams | None) -> PeriodicOrbit:
+                        atom: AtomParams) -> PeriodicOrbit:
     """The orbit `_reversible_presearch` finds from `quiver_guess(t0)`,
     classified and verified by one `monodromy`.  A non-isolated or
     parabolic fixed point (|det(M - I)| < 1e-9) and a closure residual of
     CLOSURE_TOL or more are errors."""
-    z = _reversible_presearch(quiver_guess(t0, laser), t0, laser, atom)
-    z_t, m = monodromy(z, t0, laser, atom)
-    residual = float(np.linalg.norm(z_t - z))
-    jac_det = float(np.linalg.det(m - np.eye(2)))
+    orbit = _orbit_at(_reversible_presearch(quiver_guess(t0, laser), t0,
+                                            laser, atom), t0, laser, atom)
+    jac_det = float(np.linalg.det(orbit.monodromy - np.eye(2)))
     if abs(jac_det) < 1e-9:
         raise OrbitError(
             "singular Jacobian: fixed point is non-isolated or parabolic "
             f"(|det(M-I)| = {abs(jac_det):.2e})", t0)
-    if residual >= CLOSURE_TOL:
-        raise OrbitError(f"no closure: residual {residual:.3e}", t0)
-    return PeriodicOrbit(z_star=z, t0=t0, monodromy=m,
-                         classification=classify(m), residual=residual)
+    if orbit.residual >= CLOSURE_TOL:
+        raise OrbitError(f"no closure: residual {orbit.residual:.3e}", t0)
+    return orbit
 
 
 def symmetry_partner(orbit: PeriodicOrbit, laser: LaserParams,
-                     atom: AtomParams | None) -> PeriodicOrbit:
+                     atom: AtomParams) -> PeriodicOrbit:
     """Orbit mapped through x → -x, p → -p, t0 → t0 + T_L/2.
 
     The even potential and the half-period antisymmetry of the field
     guarantee the image is again an orbit; it is verified by direct
     integration and the verification failure is an error.
     """
-    t0 = orbit.t0 + 0.5 * laser.period
-    z = -orbit.z_star
-    z_t, m = monodromy(z, t0, laser, atom)
-    residual = float(np.linalg.norm(z_t - z))
-    if residual > 10.0 * max(orbit.residual, 1e-10):
+    partner = _orbit_at(-orbit.z_star, orbit.t0 + 0.5 * laser.period,
+                        laser, atom)
+    if partner.residual > 10.0 * max(orbit.residual, 1e-10):
         raise OrbitError(
-            f"symmetry partner fails to close (residual {residual:.3e}); "
-            "the assumed symmetries do not hold", orbit.t0)
-    return PeriodicOrbit(z_star=z, t0=t0, monodromy=m,
-                         classification=classify(m), residual=residual)
+            f"symmetry partner fails to close (residual "
+            f"{partner.residual:.3e}); the assumed symmetries do not hold",
+            orbit.t0)
+    return partner
 
 
 def overlay_orbit(orbit: PeriodicOrbit, laser: LaserParams,
-                  atom: AtomParams | None, t_start: float, t_end: float,
+                  atom: AtomParams, t_start: float, t_end: float,
                   n_per_period: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """x(t) of the orbit extended periodically across [t_start, t_end].
 

@@ -32,7 +32,7 @@ def fd_eigenstates(grid: Grid, potential: np.ndarray,
 
 
 def symmetry_line_cell(z, t0: float, laser: LaserParams,
-                       atom: AtomParams | None, bisections: int):
+                       atom: AtomParams, bisections: int):
     """The orbit search's scan cell on the reversing-symmetry line, halved
     `bisections` times: every point of the 17-point scan evaluated, the
     sign change nearest the guess taken among all of them, each
@@ -71,7 +71,7 @@ def symmetry_line_cell(z, t0: float, laser: LaserParams,
 
 
 def presearch_bisection(z, t0: float, laser: LaserParams,
-                        atom: AtomParams | None) -> np.ndarray:
+                        atom: AtomParams) -> np.ndarray:
     """Orbit point at t0 found by bisecting the symmetry-line cell 60 times
     and flowing the bracket's midpoint back from the symmetry line."""
     t_star, lo, hi, _ = symmetry_line_cell(z, t0, laser, atom, 60)

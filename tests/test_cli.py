@@ -385,6 +385,39 @@ class TestExitCodes:
             f"numerical failure: orbit at t0 = {t0:.12g} a.u.: singular "
             "Jacobian")
 
+    # the tiny grid's absorber starts at |x| = 64: 2F_L/ω_L² is 64.02 at
+    # F_L = 0.104, and 5 gaps of 4a/3 reach 66.67 at n_p = 10
+    @pytest.mark.parametrize("section, keys, message", [
+        ("laser", {"F_L": "0.104"}, "quiver excursion 2F_L/ω_L² reaches "
+                                    "|x| = 64.0197"),
+        ("environment", {"n_p": "10"}, "outermost possible scatterer "
+                                       "(n_p/2 gaps of 4a/3) reaches "
+                                       "|x| = 66.6667"),
+    ], ids=["quiver", "scatterer"])
+    def test_run_reaching_the_absorber_is_2(self, section, keys, message,
+                                            tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(tiny_config_with(section, keys))
+        assert main(["run", "--config", str(cfg), "--out", "records"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {message}, in the absorber band, which "
+            f"starts at |x| = 64\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_gas_phase_chain_may_reach_the_absorber(self, tmp_path,
+                                                    monkeypatch):
+        # with A_E = 0 the scatterers exert no force: the run starts
+        def started(cfg, workers):
+            raise PropagationFailure(0, 1)
+
+        monkeypatch.setattr("hhg1d.cli.run_ensemble", started)
+        cfg = tmp_path / "gas.cfg"
+        cfg.write_text(tiny_config_with("environment",
+                                        {"n_p": "10", "A_E": "0"}))
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 4
+
     def test_overflowing_softening_is_2_before_out_exists(self, tmp_path,
                                                           capsys):
         # V(0) = -1e150: the first stage's e^{-dτV/2} overflows
@@ -577,6 +610,41 @@ class TestRecordChecks:
             err = self.refused_with_3(command, records, tmp_path, capsys)
             assert err.startswith(f"missing artifact: malformed record "
                                   f"file: {path}: ")
+
+    @pytest.mark.parametrize("command", ["spectrum", "pair-correlation"])
+    def test_manifest_seed_unlike_its_config_is_3(self, command, records,
+                                                  tmp_path, capsys):
+        # an edited key would stamp another run's checksum on the outputs
+        path = records / "manifest.json"
+        data = json.loads(path.read_text())
+        assert "master_seed = 13\n" in data["config"]
+        data["master_seed"] = 14
+        path.write_text(json.dumps(data))
+        err = self.refused_with_3(command, records, tmp_path, capsys)
+        assert err == (f"missing artifact: malformed record file: {path}: "
+                       f"master_seed 14, but its config has master_seed = "
+                       f"13\n")
+
+    # the snapshot files hold the tiny grid: x_min = -80, x_max = 80, n = 256
+    @pytest.mark.parametrize("command", ["purity", "density-map"])
+    @pytest.mark.parametrize("line, edited, config_grid", [
+        ("n = 256", "n = 512", "-80.0, 80.0, 512"),
+        ("x_max = 80.0", "x_max = 81.0", "-80.0, 81.0, 256"),
+    ], ids=["n", "x_max"])
+    def test_snapshot_grid_unlike_the_config_is_3(self, command, line,
+                                                  edited, config_grid,
+                                                  records, tmp_path, capsys):
+        path = records / "manifest.json"
+        data = json.loads(path.read_text())
+        assert f"\n{line}\n" in data["config"]
+        data["config"] = data["config"].replace(f"\n{line}\n",
+                                                f"\n{edited}\n")
+        path.write_text(json.dumps(data))
+        err = self.refused_with_3(command, records, tmp_path, capsys)
+        snap = records / "snapshots" / "config_0000.bin"
+        assert err == (f"missing artifact: malformed record file: {snap}: "
+                       f"grid x_min = -80.0, x_max = 80.0, n = 256, but the "
+                       f"config has {config_grid}\n")
 
     @pytest.mark.parametrize("command", ["spectrum", "gabor"])
     def test_no_configuration_column_is_3(self, command, records, tmp_path,

@@ -402,15 +402,17 @@ class TestMaps:
     def test_rank_one_factorization(self):
         g = Grid(-20.0, 20.0, 128)
         psi = np.exp(-g.x**2 / 8).astype(complex)
-        m = density_matrix_map(psi[None, :], g)
+        x, m = density_matrix_map(psi[None, :], g)
         expect = np.outer(np.abs(psi) ** 2, np.abs(psi) ** 2)
-        np.testing.assert_allclose(m.values, expect, atol=1e-14)
+        assert x.tobytes() == g.x.tobytes()
+        np.testing.assert_allclose(m, expect, atol=1e-14)
 
     def test_hermitian_symmetry(self):
         g = Grid(-20.0, 20.0, 128)
         states = random_states(4, 128, 9)
-        m = density_matrix_map(states, g, stride=2)
-        np.testing.assert_allclose(m.values, m.values.T, rtol=0, atol=1e-15)
+        x, m = density_matrix_map(states, g, stride=2)
+        assert x.tobytes() == g.x[::2].tobytes()
+        np.testing.assert_allclose(m, m.T, rtol=0, atol=1e-15)
 
     def test_region_outside_grid(self):
         g = Grid(-20.0, 20.0, 128)
@@ -422,9 +424,9 @@ class TestMaps:
         spec = RunConfig(n_c=2, **TINY)
         rec = run_ensemble(spec)
         grid = spec.grid()
-        pmap = probability_density_map(rec.snapshot_times, rec.snapshots,
-                                       grid)
-        traces = pmap.values.sum(axis=1) * grid.dx
+        pmap = probability_density_map(rec.snapshots, grid)
+        assert pmap.shape == (rec.snapshot_times.size, grid.n)
+        traces = pmap.sum(axis=1) * grid.dx
         # per-time trace equals mean surviving norm
         snap_norms = state_norm(rec.snapshots, grid.dx).mean(axis=1)
         np.testing.assert_allclose(traces, snap_norms, rtol=1e-12)

@@ -60,10 +60,12 @@ class TestGroundState:
         flipped[1:] = dens[:0:-1]
         np.testing.assert_allclose(dens, flipped, atol=1e-8 * dens.max())
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(tdse, "_GROUND_STATE_MAX_ITER", 3)
         g = Grid(-20.0, 20.0, 256)
-        with pytest.raises(ConvergenceError) as exc:
-            ground_state(g, lambda x: 0.5 * x * x, max_iter=3)
+        with pytest.raises(ConvergenceError, match="iteration cap 3 reached") \
+                as exc:
+            ground_state(g, lambda x: 0.5 * x * x)
         assert np.isfinite(exc.value.last_value)
 
     def test_non_finite_energy_fails_in_first_stage(self):
