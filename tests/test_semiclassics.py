@@ -303,18 +303,28 @@ class TestBackscatter:
         assert best > 3.17 * UP
 
 
-class TestQuiverGuess:
-    def test_lies_on_the_field_only_path(self):
-        # the field-only path through quiver_guess(t0) is the zero-drift
-        # quiver, so it passes through quiver_guess(t) at every later t
-        for t0 in np.array([0.0, 0.13, 0.25, 0.6, 2.25]) * T:
-            path = _field_only_float(t0, *quiver_guess(t0, LASER), LASER)
-            for t in t0 + np.array([0.1, 0.37, 1.0, 1.5]) * T:
-                np.testing.assert_allclose(path(t), quiver_guess(t, LASER),
-                                           rtol=0, atol=1e-9)
+QUIVER_ANCHORS = np.array([0.0, 0.13, 0.25, 0.6, 2.0, 2.25]) * T
 
 
 class TestClassicalFlow:
+    # laser-only motion is the closed-form field-only path, which the seed
+    # quiver_guess must lie on
+    def test_laser_only_quiver_is_periodic(self):
+        for t0 in QUIVER_ANCHORS:
+            z0 = quiver_guess(t0, LASER)
+            path = _field_only_float(t0, *z0, LASER)
+            assert np.linalg.norm(np.subtract(path(t0 + T), z0)) < 1e-10
+
+    def test_laser_only_flow_follows_the_quiver(self):
+        # the path through quiver_guess(t0) passes through quiver_guess(t) at
+        # every later t (2.25 -> 2.6 T_L among them); the seed's old minus
+        # sign on x misses by up to 310 a.u.
+        for t0 in QUIVER_ANCHORS:
+            path = _field_only_float(t0, *quiver_guess(t0, LASER), LASER)
+            for t in t0 + np.array([0.1, 0.35, 1.0, 1.5]) * T:
+                np.testing.assert_allclose(path(t), quiver_guess(t, LASER),
+                                           rtol=0, atol=1e-9)
+
     def test_fourth_order_in_the_flow_step(self, monkeypatch):
         # one period of the default laser's orbit anchored at 2 T_L, which
         # crosses x = 0 there with p = 3.807: halving the step from
