@@ -6,8 +6,9 @@ from hhg1d.config import RunConfig
 from hhg1d.model import (AtomParams, LaserParams, field_at, gradient_atom,
                          potential_atom)
 from hhg1d.splitting import KICK_COEFFS
-from hhg1d.tdse import (ConvergenceError, Grid, PropagatorPlan, absorber_mask,
-                        ground_state, overlap, propagate, state_norm, step)
+from hhg1d.tdse import (ConvergenceError, Grid, PocketfftBackend,
+                        PropagatorPlan, absorber_mask, ground_state, overlap,
+                        propagate, state_norm, step)
 from oracles import fd_eigenstates
 
 
@@ -128,6 +129,93 @@ class TestStep:
         batch = step(np.stack([psi_a, psi_b]), 5.0, plan2)
         np.testing.assert_array_equal(batch[0], singles[0])
         np.testing.assert_array_equal(batch[1], singles[1])
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_input_left_untouched(self, fine_grid, atom, batch):
+        rng = np.random.default_rng(5)
+        shape = batch + (fine_grid.n,)
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        before = psi.copy()
+        v = np.broadcast_to(potential_atom(fine_grid.x, atom), shape)
+        plan = PropagatorPlan(fine_grid, 0.05, v,
+                              LaserParams(F_L=0.05, omega_L=0.057))
+        out = step(psi, 12.0, plan)
+        assert not np.shares_memory(out, psi)
+        assert psi.tobytes() == before.tobytes()
+
+    def test_seven_fft_pairs_through_scipy_fft(self, fine_grid, monkeypatch):
+        # the benchmark's tracer counts the step's transforms at these names
+        import scipy.fft
+        calls = {"fft": 0, "ifft": 0}
+
+        def counted(name):
+            real = getattr(scipy.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(scipy.fft, name, counted(name))
+        plan = PropagatorPlan(fine_grid, 0.05, np.zeros(fine_grid.n),
+                              LaserParams(F_L=0.05, omega_L=0.057))
+        step(gaussian_packet(fine_grid, 0.0, 2.0), 0.0, plan)
+        assert calls == {"fft": 7, "ifft": 7}
+
+
+class TestPocketfftBackend:
+    """`step`'s scipy.fft backend against scipy's own."""
+
+    @pytest.fixture
+    def backend(self):
+        """A backend whose `c2c` calls are counted in `backend.c2c_calls`."""
+        b = PocketfftBackend()
+        real, b.c2c_calls = b._c2c, 0
+
+        def counted(*args):
+            b.c2c_calls += 1
+            return real(*args)
+        b._c2c = counted
+        return b
+
+    @pytest.mark.parametrize("shape", [(1, 1024), (32, 1024), (16, 8192),
+                                       (3, 1021), (1024,)])
+    @pytest.mark.parametrize("name", ["fft", "ifft"])
+    def test_bit_equal_to_scipy(self, backend, shape, name):
+        import scipy.fft
+        f = getattr(scipy.fft, name)
+        rng = np.random.default_rng(shape[-1])
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = f(x, axis=-1)
+        with scipy.fft.set_backend(backend):
+            got = f(x, axis=-1)
+            x_own = x.copy()
+            got_in_place = f(x_own, axis=-1, overwrite_x=True)
+        assert backend.c2c_calls == 2
+        assert got.tobytes() == want.tobytes()
+        assert got_in_place.tobytes() == want.tobytes()
+        assert np.shares_memory(got_in_place, x_own)
+        assert not np.shares_memory(got, x)
+
+    @pytest.mark.parametrize("x, kwargs", [
+        (np.linspace(0.0, 1.0, 64), {}),
+        (np.exp(0.3j * np.arange(64.0)), {"norm": "ortho"}),
+        (np.exp(0.3j * np.arange(64.0)).reshape(8, 8), {"axis": 0}),
+        (np.exp(0.3j * np.arange(64.0)), {"n": 48}),
+        (np.exp(0.3j * np.arange(64.0)).astype(">c16"), {}),
+    ], ids=["real", "ortho", "axis0", "n", "big-endian"])
+    @pytest.mark.parametrize("name", ["fft", "ifft"])
+    def test_declined_calls_get_scipys_result(self, backend, name, x,
+                                               kwargs):
+        import scipy.fft
+        f = getattr(scipy.fft, name)
+        want = f(x, **kwargs)
+        with scipy.fft.set_backend(backend):
+            got = f(x, **kwargs)
+        assert backend.c2c_calls == 0
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFieldKicks:
