@@ -20,7 +20,8 @@ sends each plain complex transform straight to pocketfft's `c2c`, the
 kernel scipy's own backend ends in, and so skips about 3 µs of scipy's
 dispatch and argument handling per call.  `step` still calls
 `scipy.fft.fft`/`ifft` rather than `c2c` itself: the benchmark's tracer
-counts the transforms at those two names.
+counts the transforms at those two names, and will until it wraps
+functions by identity.
 """
 
 from __future__ import annotations
