@@ -290,12 +290,11 @@ def cmd_gabor(args) -> int:
     omegas = np.arange(0.0, args.max_order + 1e-9, args.d_order) \
         * laser.omega_L
     taus = np.arange(t_axis[0], t_axis[-1] + 1e-12, laser.period / 64.0)
-    gmap = gabor(t_axis, series, t_w, omegas, taus)
+    values = gabor(t_axis, series, t_w, omegas, taus).values
     path = run.path("gabor.bin")
-    write_map(path, gmap.taus, gmap.omegas / laser.omega_L, gmap.values,
-              "tau", "order")
+    write_map(path, taus, omegas / laser.omega_L, values, "tau", "order")
     run.save(path)
-    print(f"gabor map ({gmap.taus.size} x {gmap.omegas.size}) -> {path}")
+    print(f"gabor map ({taus.size} x {omegas.size}) -> {path}")
     return 0
 
 

@@ -1,7 +1,9 @@
 """
 Physical ingredients of the simulation, in Hartree atomic units throughout.
 
-Laser pulse:   F(t) = F_L f(t) sin(ω_L t) with a trapezoidal envelope f(t)
+Laser pulse:   F(t) = F_L f(t) sin(ω_L t), trapezoidal envelope
+               f(t) = clip(min(t/t_up, (t_end − t)/(t_end − t_flat)), 0, 1),
+               t_up, t_flat, t_end = (n_up, n_up + n_plateau, n_cycles)·T_L
 Model atom:    soft-core Coulomb well  V(x) = -(x² + α)^(-1/2)
 Environment:   identical attractive Gaussian wells centred on the scatterer
                positions x_k,  v(x) = -A_E exp(-x²/2σ_E²)
@@ -106,20 +108,16 @@ class EnvironmentConfig:
 
 
 def envelope(t, laser: LaserParams):
-    """Trapezoidal envelope f(t) ∈ [0, 1]: linear ramps, flat plateau, 0 outside."""
+    """Trapezoidal envelope f(t) ∈ [0, 1] in the module docstring's closed
+    form; fmin and fmax pass over the NaN of an empty ramp's 0/0."""
     T = laser.period
     t_up = laser.n_up * T
     t_flat = (laser.n_up + laser.n_plateau) * T
     t_end = laser.duration
     t = np.asarray(t, dtype=float)
-    f = np.zeros_like(t)
-    if t_up > 0:
-        rising = (t >= 0) & (t < t_up)
-        f = np.where(rising, t / t_up, f)
-    f = np.where((t >= t_up) & (t <= t_flat), 1.0, f)
-    if t_end > t_flat:
-        falling = (t > t_flat) & (t < t_end)
-        f = np.where(falling, (t_end - t) / (t_end - t_flat), f)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.fmin(t / t_up, (t_end - t) / (t_end - t_flat))
+    f = np.fmin(np.fmax(f, 0.0), 1.0)
     return f if f.ndim else float(f)
 
 

@@ -5,7 +5,9 @@ Grid propagation of a single conditioned state under
 
 using a split-operator scheme: the kinetic factor is applied in momentum
 representation (FFT), potential and field factors pointwise in position,
-composed with the fourth-order coefficients from `splitting`.  The ground
+composed with the fourth-order coefficients from `splitting`.  A
+`PropagatorPlan` holds every factor's table and owns the kick rule of the
+field, so `step` only composes the factors.  The ground
 state comes from `ground_state`, a separate imaginary-time loop: it uses
 the second-order Strang splitting on `numpy.fft`, because the fourth-order
 composition is unstable in imaginary time.
@@ -114,25 +116,23 @@ def absorber_mask(grid: Grid) -> np.ndarray:
     each edge band."""
     width = ABSORBER_BAND * (grid.x_max - grid.x_min)
     left, right = absorber_edges(grid)
-    mask = np.ones(grid.n)
-    s = np.where(grid.x < left, (left - grid.x) / width, 0.0)
-    s = np.where(grid.x > right, (grid.x - right) / width, s)
-    band = (s > 0) & (s < 1)
-    mask[band] = np.cos(0.5 * np.pi * s[band]) ** 0.125
-    mask[s >= 1] = 0.0
-    return mask
+    s = np.maximum(left - grid.x, grid.x - right) / width
+    return np.where(s >= 1, 0.0,
+                    np.cos(0.5 * np.pi * np.clip(s, 0.0, 1.0)) ** 0.125)
 
 
 class PropagatorPlan:
-    """Precomputed tables for stepping states on one grid.
+    """Precomputed tables for stepping states on one grid, and the kick rule
+    of the laser field.
 
     Holds the kinetic phase factors for every drift coefficient, the kick
     factors of the static potential for every kick coefficient, the laser,
     the absorber mask (None disables absorption; `propagate`, not `step`,
-    applies it in place) and the two position tables of the field phase:
-    with b = ⌈√n⌉, `x_hi[q] = x_min + dx·b·q` and `x_lo[r] = dx·r`, so that
-    x_j = x_hi[q] + x_lo[r] for j = b·q + r.  `static_potential` may be
-    (n,) or (m, n) for a batch of environments sharing the grid.
+    applies it in place) and the position table of the field phase: with
+    b = ⌈√n⌉, `x_table` joins `x_hi[q] = x_min + dx·b·q` and
+    `x_lo[r] = dx·r`, so that x_j = x_hi[q] + x_lo[r] for j = b·q + r.
+    `static_potential` may be (n,) or (m, n) for a batch of environments
+    sharing the grid.
     """
 
     def __init__(self, grid: Grid, dt: float, static_potential: np.ndarray,
@@ -145,19 +145,26 @@ class PropagatorPlan:
         pot = -1j * dt * np.asarray(static_potential, dtype=float)
         self.static_kick_factors = [np.exp(b * pot) for b in KICK_COEFFS]
         self.kick_times = KICK_TIMES * dt
+        self.kick_scale = -1j * KICK_COEFFS * dt
         b = math.isqrt(grid.n - 1) + 1
-        self.x_hi = grid.x_min + grid.dx * b * np.arange(-(-grid.n // b))
-        self.x_lo = grid.dx * np.arange(b)
+        self.n_hi = -(-grid.n // b)
+        self.x_table = np.concatenate(
+            [grid.x_min + grid.dx * b * np.arange(self.n_hi),
+             grid.dx * np.arange(b)])
 
-    def field_phases(self, c: np.ndarray) -> np.ndarray:
-        """e^{c_k·x_j} for every coefficient c_k, shape (len(c), n).
+    def field_phases(self, t: float) -> np.ndarray:
+        """Field factors e^{c_k·x_j} of the six kicks of the step from t,
+        shape (6, n), c_k = −i·b_k·dt·F_k.
 
-        Built as the outer product of e^{c_k·x_hi} and e^{c_k·x_lo}: 2⌈√n⌉
-        complex exponentials per coefficient instead of n, equal to the
-        direct exponential to roundoff.
+        F_k is the field at t plus the accumulated drift time, which keeps
+        the composition fourth-order for the coupling x·F(t); one call of
+        `field_at` gives all six.  One exponential of the joined table gives
+        both factors of e^{c_k·x_hi}·e^{c_k·x_lo}: 2⌈√n⌉ complex exponentials
+        per kick instead of n, equal to the direct exponential to roundoff.
         """
-        phase = (np.exp(np.multiply.outer(c, self.x_hi))[:, :, None]
-                 * np.exp(np.multiply.outer(c, self.x_lo))[:, None, :])
+        c = self.kick_scale * field_at(t + self.kick_times, self.laser)
+        e = np.exp(np.multiply.outer(c, self.x_table))
+        phase = e[:, :self.n_hi, None] * e[:, None, self.n_hi:]
         return phase.reshape(c.size, -1)[:, :self.grid.n]
 
 
@@ -201,13 +208,10 @@ def _fft_backend() -> PocketfftBackend:
 def step(psi: np.ndarray, t: float, plan: PropagatorPlan) -> np.ndarray:
     """Advance ψ(t) by one time step dt (no absorber).
 
-    The field factor of kick k is evaluated at t plus the accumulated drift
-    time, which keeps the composition fourth-order for the time-dependent
-    coupling x·F(t).  One vector call of `field_at` gives the field F_k at
-    all six kick times, and `plan.field_phases` builds the six phases
-    e^{c_k·x}, c_k = -i·b_k·dt·F_k, from the plan's two √n-point tables.
-    Multiplications run in place on a fresh copy, so the input array is
-    left untouched.
+    The plan owns the kick rule: `plan.field_phases(t)` gives the six field
+    factors of this step, and `step` only composes them with the plan's
+    kinetic and static kick factors.  Multiplications run in place on a
+    fresh copy, so the input array is left untouched.
 
     The seven FFT pairs run under `PocketfftBackend`, which calls
     pocketfft's `c2c` directly; the first transform does not overwrite,
@@ -223,9 +227,7 @@ def step(psi: np.ndarray, t: float, plan: PropagatorPlan) -> np.ndarray:
     # The classical flow in `semiclassics` runs the same composition in its
     # own scalar loop: a drift/kick driver shared through callbacks made one
     # period of it 1.5x slower.
-    field_phase = plan.field_phases(
-        -1j * KICK_COEFFS * plan.dt * field_at(t + plan.kick_times,
-                                               plan.laser))
+    field_phase = plan.field_phases(t)
     with scipy.fft.set_backend(_fft_backend()):
         psi_k = scipy.fft.fft(psi, axis=-1)
         psi_k *= plan.kinetic_factors[0]

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import eigsh
 
 from hhg1d.model import AtomParams, LaserParams
 from hhg1d.semiclassics import classical_flow
-from hhg1d.tdse import Grid
+from hhg1d.tdse import ABSORBER_BAND, Grid, absorber_edges
 
 
 def fd_eigenstates(grid: Grid, potential: np.ndarray,
@@ -29,6 +29,40 @@ def fd_eigenstates(grid: Grid, potential: np.ndarray,
     order = np.argsort(vals)
     vecs = vecs[:, order] / np.sqrt(dx)
     return vals[order], vecs.T
+
+
+def piecewise_envelope(t, laser: LaserParams):
+    """The trapezoid assembled piece by piece: 0, then the rising ramp for
+    0 ≤ t < t_up, 1 on [t_up, t_flat], the falling ramp for
+    t_flat < t < t_end, each ramp only when it has nonzero length."""
+    T = laser.period
+    t_up = laser.n_up * T
+    t_flat = (laser.n_up + laser.n_plateau) * T
+    t_end = laser.duration
+    t = np.asarray(t, dtype=float)
+    f = np.zeros_like(t)
+    if t_up > 0:
+        rising = (t >= 0) & (t < t_up)
+        f = np.where(rising, t / t_up, f)
+    f = np.where((t >= t_up) & (t <= t_flat), 1.0, f)
+    if t_end > t_flat:
+        falling = (t > t_flat) & (t < t_end)
+        f = np.where(falling, (t_end - t) / (t_end - t_flat), f)
+    return f if f.ndim else float(f)
+
+
+def piecewise_absorber_mask(grid: Grid) -> np.ndarray:
+    """The absorber mask written band by band: 1 inside, cos^(1/8) of the
+    depth s into a band where 0 < s < 1, 0 from s = 1 on."""
+    width = ABSORBER_BAND * (grid.x_max - grid.x_min)
+    left, right = absorber_edges(grid)
+    mask = np.ones(grid.n)
+    s = np.where(grid.x < left, (left - grid.x) / width, 0.0)
+    s = np.where(grid.x > right, (grid.x - right) / width, s)
+    band = (s > 0) & (s < 1)
+    mask[band] = np.cos(0.5 * np.pi * s[band]) ** 0.125
+    mask[s >= 1] = 0.0
+    return mask
 
 
 def symmetry_line_cell(z, t0: float, laser: LaserParams,

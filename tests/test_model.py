@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hhg1d.model import (AtomParams, EnvironmentConfig, LaserParams,
                          gradient_env, omega_from_wavelength_nm,
                          ponderomotive_energy, potential_atom, potential_env,
                          quiver_radius)
+from oracles import piecewise_envelope
 
 
 @pytest.fixture
@@ -36,6 +39,34 @@ class TestEnvelope:
         # piecewise linear: largest jump between adjacent samples ~ dt/ramp
         dt = t[1] - t[0]
         assert np.max(np.abs(np.diff(f))) < 1.01 * dt / (2 * laser.period)
+
+    @pytest.mark.parametrize("omega", [0.044, 0.057, 0.0865])
+    def test_matches_piecewise_oracle(self, omega):
+        # every pulse of up to 3 cycles per part, empty ramps and plateaus
+        # included; random times and each corner of the trapezoid ±1 ulp
+        rng = np.random.default_rng(27)
+        for n_up, n_plateau, n_down in itertools.product(range(4), repeat=3):
+            if n_up + n_plateau + n_down == 0:
+                continue
+            laser = LaserParams(omega_L=omega, n_up=n_up,
+                                n_plateau=n_plateau, n_down=n_down)
+            corners = np.array([0.0, n_up, n_up + n_plateau]) * laser.period
+            corners = np.append(corners, laser.duration)
+            corners = np.concatenate([corners,
+                                      np.nextafter(corners, -np.inf),
+                                      np.nextafter(corners, np.inf)])
+            t = np.concatenate(
+                [rng.uniform(-0.1, 1.1, 20000) * laser.duration, corners])
+            np.testing.assert_array_equal(envelope(t, laser),
+                                          piecewise_envelope(t, laser))
+            for tc in corners:
+                assert envelope(tc, laser) == piecewise_envelope(tc, laser)
+
+    def test_zero_cycle_pulse_is_zero(self):
+        laser = LaserParams(n_up=0, n_plateau=0, n_down=0)
+        assert envelope(0.0, laser) == 0.0
+        assert not np.any(envelope(np.array([-1.0, 0.0, 1.0]), laser))
+        assert field_at(0.0, laser) == 0.0
 
 
 class TestField:

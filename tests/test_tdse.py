@@ -5,11 +5,11 @@ from hhg1d import tdse
 from hhg1d.config import RunConfig
 from hhg1d.model import (AtomParams, LaserParams, field_at, gradient_atom,
                          potential_atom)
-from hhg1d.splitting import KICK_COEFFS
+from hhg1d.splitting import KICK_COEFFS, KICK_TIMES
 from hhg1d.tdse import (ConvergenceError, Grid, PocketfftBackend,
                         PropagatorPlan, absorber_mask, ground_state, overlap,
                         propagate, state_norm, step)
-from oracles import fd_eigenstates
+from oracles import fd_eigenstates, piecewise_absorber_mask
 
 
 def gaussian_packet(grid, x0, width, k0=0.0):
@@ -222,14 +222,21 @@ class TestFieldKicks:
     @pytest.mark.parametrize("n", [256, 1000, 1021, 1024, 2560, 8192])
     def test_table_phase_matches_direct_exponential(self, n):
         cfg = RunConfig()
+        laser, period = cfg.laser, cfg.laser.period
         g = Grid(cfg.x_min, cfg.x_max, n)
-        plan = PropagatorPlan(g, cfg.dt, np.zeros(n), cfg.laser)
-        c_max = np.abs(KICK_COEFFS).max() * cfg.dt * cfg.laser.F_L
-        c = -1j * c_max * np.array([1.0, -1.0, 0.37, -1e-3, 0.0])
-        phases = plan.field_phases(c)
-        assert phases.shape == (c.size, n)
-        for ck, phase in zip(c, phases):
-            assert np.abs(phase - np.exp(ck * g.x)).max() <= 1e-14
+        plan = PropagatorPlan(g, cfg.dt, np.zeros(n), laser)
+        # F near +F_L and -F_L on the plateau, a ramp value, and F = 0 at 0
+        t0 = laser.n_up * period
+        for t in (t0 + 0.25 * period, t0 + 0.75 * period, 0.4 * period, 0.0):
+            fields = field_at(t + KICK_TIMES * cfg.dt, laser)
+            phases = plan.field_phases(t)
+            assert phases.shape == (6, n)
+            for b, f, phase in zip(KICK_COEFFS, fields, phases):
+                direct = np.exp(-1j * b * cfg.dt * f * g.x)
+                assert np.abs(phase - direct).max() <= 1e-14
+        assert field_at(0.0, laser) == 0.0
+        assert field_at(t0 + 0.25 * period, laser) == pytest.approx(laser.F_L)
+        assert field_at(t0 + 0.75 * period, laser) == pytest.approx(-laser.F_L)
 
     def test_one_field_call_per_step(self, fine_grid, atom, monkeypatch):
         calls = []
@@ -325,6 +332,14 @@ class TestUnitarityAndReversal:
 
 
 class TestAbsorber:
+    @pytest.mark.parametrize("x_min, x_max, n", [
+        (-160.0, 160.0, 1024), (-400.0, 400.0, 8192), (-400.0, 400.0, 2560),
+        (-80.0, 80.0, 256), (-3.0, 7.0, 1021)])
+    def test_matches_piecewise_oracle(self, x_min, x_max, n):
+        g = Grid(x_min, x_max, n)
+        mask = absorber_mask(g)
+        assert mask.tobytes() == piecewise_absorber_mask(g).tobytes()
+
     def test_interior_untouched(self):
         g = Grid(-100.0, 100.0, 512)
         mask = absorber_mask(g)
